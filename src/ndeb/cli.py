@@ -97,7 +97,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for rec in security_report(lo, hi):
         rows.append(
-            [rec.n, rec.f_a, rec.v_thr, rec.f_thr, 1.0 - rec.f_thr, rec.secure_iff_nonlocal]
+            [rec.n, rec.f_a, rec.v_thr, rec.f_thr, 1.0 - rec.f_thr, rec.nonlocal_sufficient]
         )
     header = ["n", "f_a", "v_thr", "f_thr", "error_rate_thr", "sufficient"]
     _emit_rows("report", header, rows, args.format)
@@ -186,11 +186,15 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_constant(name: str) -> None:
+    raise CliError(f"config holds the non-finite number {name}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if not os.path.exists(args.config):
         raise CliError(f"config file not found: {args.config}")
     with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_constant=_reject_constant)
     env_seed = os.environ.get("NDEB_SEED")
     if env_seed is not None:
         try:

@@ -60,6 +60,8 @@ class AmplitudeMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"amplitude matrix must be square, got {a.shape}")
         check_dim(a.shape[0])
+        if not np.isfinite(a).all():
+            raise ValueError("amplitude matrix holds a non-finite entry")
         total = float(np.sum(np.abs(a) ** 2))
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"amplitude matrix norm^2 is {total}, expected 1 within 1e-12")
@@ -83,6 +85,8 @@ class CloneParams:
     def __post_init__(self):
         n = check_dim(self.dim)
         v, x, y = float(self.v), float(self.x), float(self.y)
+        if not all(math.isfinite(t) for t in (v, x, y)):
+            raise ValueError(f"(v, x, y) must be finite, got {(v, x, y)}")
         if min(v, x, y) < 0.0:
             raise ValueError(f"(v, x, y) must be nonnegative, got {(v, x, y)}")
         total = v * v + (n - 1) * x * x + n * (n - 1) * y * y

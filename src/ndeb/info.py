@@ -8,10 +8,12 @@ each of the N-1 shifts with probability D_m, so
 The eavesdropper learns the shift branch m exactly and, within branch
 m, her best symbol guess is off by d with probability
 
-    p_d = |sum_n a[m, n] * exp(2j*pi*d*n/N)|^2 / (N * sum_n |a[m, n]|^2)
+    p_d = |sum_n a[m, n] * exp(2j*pi*d*n/N)|^2 / (N * w_m)
+        = |N * ifft(a[m])[d]|^2 / (N * w_m),    w_m = sum_n |a[m, n]|^2
 
 so her information is log2(N) minus the branch-averaged entropy of
-those conditionals.
+those conditionals.  ``eve_info`` evaluates this for stacks of rows at
+once; every other eavesdropper quantity here is a call on it.
 """
 from __future__ import annotations
 
@@ -35,11 +37,15 @@ def _as_prob_dist(dist) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits along the last axis of nonnegative p; 0*log(0) = 0."""
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -np.sum(p * logs, axis=-1)
+
+
 def entropy(dist) -> float:
     """Shannon entropy in bits; 0*log(0) = 0."""
-    p = _as_prob_dist(dist)
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropy_bits(_as_prob_dist(dist)))
 
 
 def i_ab(p: CloneParams | AmplitudeMatrix) -> float:
@@ -50,27 +56,39 @@ def i_ab(p: CloneParams | AmplitudeMatrix) -> float:
     return math.log2(n) - entropy(probs)
 
 
+def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(w, p[..., d]): branch weights and the eavesdropper's conditionals.
+
+    ``rows`` holds amplitude rows a[m, :] along its last axis; a branch
+    of zero weight gets the all-zero conditional.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    n = rows.shape[-1]
+    w = np.sum(np.abs(rows) ** 2, axis=-1)
+    amps = np.abs(n * np.fft.ifft(rows, axis=-1)) ** 2
+    scale = np.divide(1.0, n * w, out=np.zeros_like(w), where=w > 0.0)
+    return w, amps * scale[..., None]
+
+
+def eve_info(rows, repeats=1) -> np.ndarray:
+    """log2 N - sum_m repeats_m * w_m * H(p_m) for each (M, N) block of ``rows``.
+
+    ``repeats`` (scalar or length M) counts the rows of the full N x N
+    matrix that each given row stands for, so equal rows go in once.
+    """
+    w, p = eve_branches(rows)
+    return math.log2(p.shape[-1]) - np.sum(repeats * w * _entropy_bits(p), axis=-1)
+
+
 def eve_conditional(p: CloneParams | AmplitudeMatrix, m: int) -> np.ndarray:
     """Distribution of (Alice's symbol - Eve's estimate) within branch m."""
     a = _coerce_matrix(p)
-    n = a.shape[0]
-    row = a[m % n]
-    weight = float(np.sum(np.abs(row) ** 2))
+    weight, cond = eve_branches(a[m % a.shape[0]])
     if weight <= 0.0:
         raise ValueError(f"branch {m} has zero weight")
-    d = np.arange(n)[:, None]
-    amps = np.sum(row[None, :] * np.exp(2j * math.pi * d * np.arange(n)[None, :] / n), axis=1)
-    return np.abs(amps) ** 2 / (n * weight)
+    return cond
 
 
 def i_ae(p: CloneParams | AmplitudeMatrix) -> float:
     """Eavesdropper's information about Alice's sifted symbol, in bits."""
-    a = _coerce_matrix(p)
-    n = a.shape[0]
-    branch_weights = np.sum(np.abs(a) ** 2, axis=1)
-    acc = 0.0
-    for m in range(n):
-        if branch_weights[m] <= 0.0:
-            continue
-        acc += branch_weights[m] * entropy(eve_conditional(p, m))
-    return math.log2(n) - acc
+    return float(eve_info(_coerce_matrix(p)))

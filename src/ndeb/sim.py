@@ -15,6 +15,7 @@ cannot depend on how rounds are later chunked across shards.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,6 +64,13 @@ def _verify_pairing(n: int) -> None:
     _verified_dims.add(n)
 
 
+def _strict_int(name: str, value: Any) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One simulation run: dimension, round count, weights, attack, seed."""
@@ -74,13 +82,15 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        n = check_dim(self.n)
-        rounds = int(self.rounds)
+        n = check_dim(_strict_int("n", self.n))
+        rounds = _strict_int("rounds", self.rounds)
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         weights = tuple(float(w) for w in self.basis_weights)
         if len(weights) != 4:
             raise ValueError(f"need 4 basis weights, got {len(weights)}")
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError(f"basis weights must be finite, got {weights}")
         if min(weights) < 0.0:
             raise ValueError(f"basis weights must be nonnegative, got {weights}")
         if abs(sum(weights) - 1.0) > WEIGHT_ATOL:
@@ -89,7 +99,7 @@ class ProtocolConfig:
             raise ValueError(
                 f"attack dimension {self.attack.dim} does not match n={n}"
             )
-        seed = int(self.seed)
+        seed = _strict_int("seed", self.seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned int, got {seed}")
         object.__setattr__(self, "n", n)
@@ -107,18 +117,18 @@ class ProtocolConfig:
         if attack is not None:
             try:
                 params = CloneParams(
-                    int(d["n"]), attack["v"], attack["x"], attack["y"]
+                    _strict_int("n", d["n"]), attack["v"], attack["x"], attack["y"]
                 )
             except (KeyError, TypeError) as exc:
                 raise ValueError(
                     "attack block must map v, x, y to numbers"
                 ) from exc
         return ProtocolConfig(
-            n=int(d["n"]),
-            rounds=int(d["rounds"]),
+            n=d["n"],
+            rounds=d["rounds"],
             basis_weights=tuple(d["basis_weights"]),
             attack=params,
-            seed=int(d["seed"]),
+            seed=d["seed"],
         )
 
     def to_dict(self) -> dict[str, Any]:

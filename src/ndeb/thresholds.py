@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import CloneParams
-from .info import i_ab, i_ae
+from .info import eve_info, i_ab
 
-GRID_POINTS = 2001
-GOLDEN_TOL = 1e-10
+GRID_POINTS = 129
+ZOOM_TOL = 1e-10
 BISECT_STEPS = 60
 BRACKET_PAD = 1e-6
 FEAS_TOL = 1e-12
@@ -29,8 +29,6 @@ FEAS_TOL = 1e-12
 # The crossover fidelity decreases with N; in the large-N limit it
 # approaches 1/2 while the error-rate threshold approaches 50%.
 CROSSOVER_LIMIT_LARGE_N = 0.5
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def y_max(n: int, fidelity: float) -> float:
@@ -55,66 +53,38 @@ def clone_family_at_fidelity(n: int, fidelity: float, y: float) -> CloneParams:
 
 
 def _eve_info_curve(n: int, fidelity: float, ys: np.ndarray) -> np.ndarray:
-    """Vectorized eavesdropper information along the fixed-fidelity family."""
+    """Eavesdropper information along the fixed-fidelity family.
+
+    Its matrix has two distinct rows: (v, y, ..., y) for branch 0 and
+    (x, y, ..., y) for each of the N-1 shifted branches.
+    """
     ys = np.asarray(ys, dtype=float)
-    v2 = np.clip(fidelity - (n - 1) * ys ** 2, 0.0, None)
-    x2 = np.clip((1.0 - fidelity) / (n - 1) - (n - 1) * ys ** 2, 0.0, None)
-    v = np.sqrt(v2)
-    x = np.sqrt(x2)
-    f_row = v2 + (n - 1) * ys ** 2
-    d_row = x2 + (n - 1) * ys ** 2
-
-    def branch_entropy(lead: np.ndarray, off: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_lead = np.where(weight > 0, lead ** 2 / (n * weight), 0.0)
-            p_off = np.where(weight > 0, off ** 2 / (n * weight), 0.0)
-        h = np.zeros_like(p_lead)
-        mask = p_lead > 0
-        h[mask] -= p_lead[mask] * np.log2(p_lead[mask])
-        mask = p_off > 0
-        h[mask] -= (n - 1) * p_off[mask] * np.log2(p_off[mask])
-        return h
-
-    h_f = branch_entropy(v + (n - 1) * ys, np.abs(v - ys), f_row)
-    h_d = branch_entropy(x + (n - 1) * ys, np.abs(x - ys), d_row)
-    return math.log2(n) - (f_row * h_f + (n - 1) * d_row * h_d)
+    rows = np.empty(ys.shape + (2, n))
+    rows[..., 1:] = ys[..., None, None]
+    flat = (n - 1) * ys ** 2
+    rows[..., 0, 0] = np.sqrt(np.clip(fidelity - flat, 0.0, None))
+    rows[..., 1, 0] = np.sqrt(np.clip((1.0 - fidelity) / (n - 1) - flat, 0.0, None))
+    return eve_info(rows, [1, n - 1])
 
 
 def max_eve_info(n: int, fidelity: float) -> tuple[CloneParams, float]:
     """Best attack at fixed fidelity: (optimal params, eavesdropper bits).
 
-    A 2001-point grid over y in [0, y_max] locates the peak; a
-    golden-section pass narrows the bracket to width 1e-10.  Ties go to
-    the smaller y.
+    A GRID_POINTS grid over y in [lo, hi] = [0, y_max] locates the peak;
+    the grid is then re-laid over the two cells around it until
+    hi - lo <= 1e-10.  Ties go to the smaller y.
     """
     if not 1.0 / n <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [1/{n}, 1], got {fidelity}")
-    cap = y_max(n, fidelity)
-    ys = np.linspace(0.0, cap, GRID_POINTS)
-    vals = _eve_info_curve(n, fidelity, ys)
-    best = int(np.argmax(vals))  # first max = smallest y on ties
-    lo = ys[max(best - 1, 0)]
-    hi = ys[min(best + 1, GRID_POINTS - 1)]
-
-    def f(yv: float) -> float:
-        return float(_eve_info_curve(n, fidelity, np.array([yv]))[0])
-
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL:
-        if fc >= fd:  # keep the left segment on ties
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    y_best = 0.5 * (a + b)
-    params = clone_family_at_fidelity(n, fidelity, y_best)
-    return params, f(y_best)
+    lo, hi = 0.0, y_max(n, fidelity)
+    while True:
+        ys = np.linspace(lo, hi, GRID_POINTS)
+        vals = _eve_info_curve(n, fidelity, ys)
+        best = int(np.argmax(vals))  # first max = smallest y on ties
+        if hi - lo <= ZOOM_TOL:
+            return clone_family_at_fidelity(n, fidelity, float(ys[best])), float(vals[best])
+        lo = ys[max(best - 1, 0)]
+        hi = ys[min(best + 1, GRID_POINTS - 1)]
 
 
 def _bisect(g, lo: float, hi: float, steps: int = BISECT_STEPS) -> float:
@@ -167,7 +137,7 @@ class ThresholdRecord:
     y: float
     v_thr: float  # local-realism visibility threshold
     f_thr: float  # same threshold expressed as fidelity
-    secure_iff_nonlocal: bool  # f_thr >= f_a - 1e-6
+    nonlocal_sufficient: bool  # f_thr >= f_a - 1e-6
 
 
 def crossover_fidelity(n: int) -> ThresholdRecord:
@@ -197,7 +167,7 @@ def crossover_fidelity(n: int) -> ThresholdRecord:
         y=params.y,
         v_thr=v_thr,
         f_thr=f_thr,
-        secure_iff_nonlocal=bool(f_thr >= f_a - 1e-6),
+        nonlocal_sufficient=bool(f_thr >= f_a - 1e-6),
     )
 
 
@@ -207,10 +177,3 @@ def security_report(n_min: int, n_max: int) -> list[ThresholdRecord]:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     return [crossover_fidelity(n) for n in range(n_min, n_max + 1)]
 
-
-if __name__ == "__main__":
-    for rec in security_report(2, 10):
-        print(
-            f"N={rec.n:2d}  F_A={rec.f_a:.6f}  1-F_thr={1 - rec.f_thr:.4%}  "
-            f"nonlocal-sufficient={rec.secure_iff_nonlocal}"
-        )

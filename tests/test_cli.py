@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ndeb
 from ndeb.cli import main
 
 
@@ -304,15 +307,41 @@ def test_simulate_config_bad_attack_block(tmp_path, capsys):
     assert "attack block" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_simulate_rejects_non_finite_literals(tmp_path, capsys, literal):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"n": 2, "rounds": 100, "seed": 7, "attack": null,'
+        f' "basis_weights": [{literal}, 0.25, 0.25, 0.25]}}'
+    )
+    out = tmp_path / "out.json"
+    rc, _, err = run_cli(capsys, "simulate", str(path), str(out))
+    assert rc == 2
+    assert f"non-finite number {literal}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("rounds", 2.9), ("seed", True), ("n", 2.0)])
+def test_simulate_rejects_non_int_fields(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    rc, _, err = run_cli(capsys, "simulate", str(cfg), str(tmp_path / "out.json"))
+    assert rc == 2
+    assert f"{key} must be an int" in err
+
+
 # ---------------------------------------------------------------- module entry
 
 
 def test_module_entry_point_runs():
+    # The child imports the same ndeb as this test, installed or not.
+    src = str(Path(ndeb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ndeb", "table", "--n", "2"],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "f_a" in proc.stdout

@@ -56,6 +56,15 @@ def test_clone_params_validation():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_clone_params_rejects_non_finite(slot, bad):
+    vxy = [1.0, 0.0, 0.0]
+    vxy[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CloneParams(3, *vxy)
+
+
 def test_identity_params():
     p = CloneParams.identity(4)
     assert (p.v, p.x, p.y) == (1.0, 0.0, 0.0)
@@ -84,6 +93,14 @@ def test_amplitude_matrix_validation():
         AmplitudeMatrix(np.ones((2, 3)) / math.sqrt(6))
     m = AmplitudeMatrix(np.eye(2) / math.sqrt(2))
     assert m.dim == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_amplitude_matrix_rejects_non_finite(bad):
+    a = np.eye(2, dtype=complex) / math.sqrt(2)
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        AmplitudeMatrix(a)
 
 
 # ---------------------------------------------------------------- state build

@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from ndeb.cloner import AmplitudeMatrix, CloneParams, params_to_matrix
-from ndeb.info import entropy, eve_conditional, i_ab, i_ae
+from ndeb.info import entropy, eve_conditional, eve_info, i_ab, i_ae
 
 import born_oracle
 
@@ -171,3 +172,30 @@ def test_info_accepts_amplitude_matrix_input():
 def test_info_rejects_other_types():
     with pytest.raises(TypeError):
         i_ab(np.eye(2))
+
+
+def loop_i_ae(a):
+    """Eavesdropper bits from the per-branch exp-sum, one term at a time."""
+    n = a.shape[0]
+    total = math.log2(n)
+    for row in a:
+        weight = float(np.sum(np.abs(row) ** 2))
+        if weight == 0.0:
+            continue
+        for d in range(n):
+            amp = sum(row[k] * cmath.exp(2j * math.pi * d * k / n) for k in range(n))
+            prob = abs(amp) ** 2 / (n * weight)
+            if prob > 0.0:
+                total += weight * prob * math.log2(prob)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_eve_info_on_a_stack_matches_per_matrix_i_ae(n):
+    rng = np.random.default_rng(4410 + n)
+    stack = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    stack[2, 1] = 0.0  # a branch of zero weight
+    stack /= np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))[:, None, None]
+    expected = [loop_i_ae(a) for a in stack]
+    np.testing.assert_allclose(eve_info(stack), expected, atol=1e-12)
+    np.testing.assert_allclose([i_ae(AmplitudeMatrix(a)) for a in stack], expected, atol=1e-12)

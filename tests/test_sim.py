@@ -77,6 +77,32 @@ def test_config_weight_validation():
         make_config(basis_weights=(0.3, 0.3, 0.3, 0.3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_config(basis_weights=(bad, 0.25, 0.25, 0.25))
+
+
+@pytest.mark.parametrize("bad", [2.9, 3.0, True, "3"])
+@pytest.mark.parametrize("key", ["n", "rounds", "seed"])
+def test_config_ints_are_strict(key, bad):
+    with pytest.raises(ValueError, match=f"{key} must be an int"):
+        make_config(**{key: bad})
+    raw = make_config().to_dict()
+    raw[key] = bad
+    with pytest.raises(ValueError, match=f"{key} must be an int"):
+        ProtocolConfig.from_dict(raw)
+    raw["attack"] = {"v": 1.0, "x": 0.0, "y": 0.0}
+    with pytest.raises(ValueError, match=f"{key} must be an int"):
+        ProtocolConfig.from_dict(raw)
+
+
+def test_config_accepts_numpy_ints():
+    cfg = make_config(n=np.int64(3), rounds=np.int32(10), seed=np.uint64(5))
+    assert (cfg.n, cfg.rounds, cfg.seed) == (3, 10, 5)
+    assert all(type(v) is int for v in (cfg.n, cfg.rounds, cfg.seed))
+
+
 def test_config_rounds_and_seed_validation():
     with pytest.raises(ValueError):
         make_config(rounds=0)

@@ -79,10 +79,12 @@ def test_max_eve_info_is_consistent(n, fid):
     assert -1e-15 <= params.y <= y_max(n, fid) + 1e-9
 
 
-@pytest.mark.parametrize("n,fid", [(2, 0.9), (3, 0.78)])
+@pytest.mark.parametrize(
+    "n,fid", [(2, 0.9), (3, 0.78), (5, 0.7), (8, 0.67), (12, 0.64), (16, 0.63)]
+)
 def test_max_eve_info_beats_dense_grid(n, fid):
     _, val = max_eve_info(n, fid)
-    ys = np.linspace(0.0, y_max(n, fid), 5000)
+    ys = np.linspace(0.0, y_max(n, fid), 20001)
     assert val >= _eve_info_curve(n, fid, ys).max() - 1e-9
 
 
@@ -114,12 +116,32 @@ def test_bisect_reports_bracket_failure():
 
 def test_qubit_crossover_hits_closed_form():
     rec = crossover_fidelity(2)
-    assert rec.f_a == pytest.approx(0.5 + 1 / math.sqrt(8), abs=1e-6)
+    assert rec.f_a == pytest.approx(0.5 + 1 / math.sqrt(8), abs=1e-9)
+
+
+# F_A for N = 2..16 from the golden threshold table of the benchmark.
+CROSSOVER_FIDELITY = {
+    2: 0.8535533905932737,
+    3: 0.7752755323352734,
+    4: 0.7341787704999072,
+    5: 0.7080432455570091,
+    6: 0.6897896505557073,
+    7: 0.676231833963596,
+    8: 0.6657090881417798,
+    9: 0.6572676300186633,
+    10: 0.6503193837508807,
+    11: 0.6444813721949547,
+    12: 0.6394930712860138,
+    13: 0.6351708297305554,
+    14: 0.6313812871779907,
+    15: 0.6280251406817301,
+    16: 0.6250268388810689,
+}
 
 
 def test_crossover_regression_values():
-    assert crossover_fidelity(2).f_a == pytest.approx(0.8535533905932737, abs=1e-9)
-    assert crossover_fidelity(3).f_a == pytest.approx(0.7752755323352734, abs=1e-9)
+    for n, f_a in CROSSOVER_FIDELITY.items():
+        assert crossover_fidelity(n).f_a == pytest.approx(f_a, abs=1e-9), n
 
 
 def test_crossover_balances_the_two_channels():
@@ -179,7 +201,7 @@ def test_security_report_shape_and_flags(records):
     assert [rec.n for rec in records] == list(range(2, 11))
     for rec in records:
         assert isinstance(rec, ThresholdRecord)
-        assert rec.secure_iff_nonlocal
+        assert rec.nonlocal_sufficient
         assert rec.f_thr >= rec.f_a - 1e-6
         total = rec.v ** 2 + (rec.n - 1) * rec.x ** 2 + rec.n * (rec.n - 1) * rec.y ** 2
         assert total == pytest.approx(1.0, abs=1e-9)
