@@ -281,8 +281,8 @@ def bob_measurement_basis(n: int, index: int) -> BasisMatrix:
     return phi_basis(n, optimal_angles(n)[index])
 
 
-def joint_distribution(p: CloneParams, alice_basis: int, bob_basis: int) -> np.ndarray:
-    """P[k, l] for Alice's index ``alice_basis`` and Bob's ``bob_basis``.
+def joint_distribution(p: CloneParams) -> np.ndarray:
+    """P[a, b, k, l] for every Alice index a and Bob index b, shape (4, 4, N, N).
 
     Computed from the reduced two-slot state, so it covers conjugate
     pairs (where the table is F/N on the matched diagonal and D/N off
@@ -291,9 +291,8 @@ def joint_distribution(p: CloneParams, alice_basis: int, bob_basis: int) -> np.n
     """
     n = p.dim
     rho = reduced_state_ra(p).entries.reshape(n, n, n, n)
-    ua = alice_measurement_basis(n, alice_basis).u
-    ub = bob_measurement_basis(n, bob_basis).u
-    probs = np.einsum(
-        "ik,jl,ijab,ak,bl->kl", ua.conj(), ub.conj(), rho, ua, ub, optimize=True
+    ua = np.stack([alice_measurement_basis(n, a).u for a in range(4)])
+    ub = np.stack([bob_measurement_basis(n, b).u for b in range(4)])
+    return np.einsum(
+        "aik,bjl,ijxy,axk,byl->abkl", ua.conj(), ub.conj(), rho, ua, ub, optimize=True
     ).real
-    return probs

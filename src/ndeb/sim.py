@@ -11,6 +11,10 @@ Randomness: numpy's Philox counter-based generator keyed by the 64-bit
 config seed.  All variates for all rounds are drawn in one pass before
 any processing, so the report is a pure function of (config, seed) and
 cannot depend on how rounds are later chunked across shards.
+
+Rounds are processed as arrays; the sifted key is an int64 array with
+one row per sifted round: (alice, bob, (bob - alice) mod n) under
+attack, (alice, bob) on a clean run.
 """
 from __future__ import annotations
 
@@ -21,13 +25,14 @@ from typing import Any
 
 import numpy as np
 
-from .cloner import CloneParams, joint_distribution
+from .cloner import PARTNER, CloneParams, joint_distribution
 from .qudit import basis_relabeling, check_dim, conjugate_basis, optimal_angles, phi_basis
-from .cloner import PARTNER
 
 WEIGHT_ATOL = 1e-9
 
 _PAIRS = frozenset({(0, 0), (2, 2), (1, 3), (3, 1)})
+# _SIFTED[4*a + b] is True when the basis pair (a, b) is kept at sifting.
+_SIFTED = np.array([(p // 4, p % 4) in _PAIRS for p in range(16)])
 _verified_dims: set[int] = set()
 
 
@@ -52,13 +57,11 @@ def _verify_pairing(n: int) -> None:
         conj_i = conjugate_basis(phi_basis(n, angles[i]))
         if basis_relabeling(conj_i, phi_basis(n, angles[PARTNER[i]])) is None:
             raise AssertionError(f"conjugation partner of basis {i} is not {PARTNER[i]}")
-    identity = CloneParams.identity(n)
-    derived = set()
-    for a in range(4):
-        for b in range(4):
-            table = joint_distribution(identity, a, b)
-            if np.allclose(table, np.eye(n) / n, atol=1e-10):
-                derived.add((a, b))
+    tables = joint_distribution(CloneParams.identity(n))
+    derived = {
+        (a, b) for a in range(4) for b in range(4)
+        if np.allclose(tables[a, b], np.eye(n) / n, atol=1e-10)
+    }
     if derived != set(_PAIRS):
         raise AssertionError(f"derived sifted pairs {derived} differ from {set(_PAIRS)}")
     _verified_dims.add(n)
@@ -73,7 +76,13 @@ def _strict_int(name: str, value: Any) -> int:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """One simulation run: dimension, round count, weights, attack, seed."""
+    """One simulation run: dimension, round count, weights, attack, seed.
+
+    Every variate is drawn up front and memory grows with ``rounds``,
+    so it is capped at ``MAX_ROUNDS``.
+    """
+
+    MAX_ROUNDS = 10 ** 7
 
     n: int
     rounds: int
@@ -84,8 +93,8 @@ class ProtocolConfig:
     def __post_init__(self):
         n = check_dim(_strict_int("n", self.n))
         rounds = _strict_int("rounds", self.rounds)
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
+        if not 1 <= rounds <= self.MAX_ROUNDS:
+            raise ValueError(f"rounds must be in 1..{self.MAX_ROUNDS}, got {rounds}")
         weights = tuple(float(w) for w in self.basis_weights)
         if len(weights) != 4:
             raise ValueError(f"need 4 basis weights, got {len(weights)}")
@@ -149,9 +158,11 @@ class SimReport:
     """Aggregated outcome of a run.
 
     per_pair_tables[a][b][k][l] counts rounds with basis pair (a, b) and
-    outcome pair (k, l); key_symbols lists the sifted rounds in order as
-    (alice, bob, eve_branch) with eve_branch = (bob - alice) mod n under
-    attack and None otherwise.
+    outcome pair (k, l).  key_symbols is an int64 array of the sifted
+    rounds in order: shape (S, 3) with columns alice, bob and the
+    eavesdropper branch (bob - alice) mod n under attack, shape (S, 2)
+    on a clean run, which has no branch.  ``to_dict`` writes a clean
+    row as [alice, bob, null]; an empty key reads back with 2 columns.
     """
 
     n: int
@@ -161,9 +172,13 @@ class SimReport:
     qber_stderr: float
     empirical_i_ab: float
     per_pair_tables: np.ndarray
-    key_symbols: list[tuple[int, int, int | None]] = field(default_factory=list)
+    key_symbols: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.int64))
 
     def to_dict(self) -> dict[str, Any]:
+        if self.key_symbols.shape[1] == 2:
+            rows = [[alice, bob, None] for alice, bob in zip(*self.key_symbols.T.tolist())]
+        else:
+            rows = self.key_symbols.tolist()
         return {
             "n": self.n,
             "rounds": self.rounds,
@@ -172,11 +187,15 @@ class SimReport:
             "qber_stderr": self.qber_stderr,
             "empirical_i_ab": self.empirical_i_ab,
             "per_pair_tables": self.per_pair_tables.tolist(),
-            "key_symbols": [list(sym) for sym in self.key_symbols],
+            "key_symbols": rows,
         }
 
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "SimReport":
+        rows = d["key_symbols"]
+        width = 3 if rows and rows[0][2] is not None else 2
+        if any((row[2] is None) != (width == 2) for row in rows):
+            raise ValueError("key symbols mix rows with and without a branch")
         return SimReport(
             n=int(d["n"]),
             rounds=int(d["rounds"]),
@@ -185,68 +204,44 @@ class SimReport:
             qber_stderr=float(d["qber_stderr"]),
             empirical_i_ab=float(d["empirical_i_ab"]),
             per_pair_tables=np.asarray(d["per_pair_tables"], dtype=np.int64),
-            key_symbols=[
-                (int(s[0]), int(s[1]), None if s[2] is None else int(s[2]))
-                for s in d["key_symbols"]
-            ],
+            key_symbols=np.array([r[:width] for r in rows], np.int64).reshape(-1, width),
         )
 
 
 def _outcome_cdfs(cfg: ProtocolConfig) -> np.ndarray:
-    """cdfs[a, b] = cumulative distribution over flat outcomes k*n + l."""
+    """cdfs[4*a + b] = cumulative distribution over flat outcomes k*n + l."""
     params = cfg.attack if cfg.attack is not None else CloneParams.identity(cfg.n)
-    n = cfg.n
-    cdfs = np.empty((4, 4, n * n))
-    for a in range(4):
-        for b in range(4):
-            table = joint_distribution(params, a, b).reshape(-1)
-            cdfs[a, b] = np.cumsum(table)
-    return cdfs
+    return np.cumsum(joint_distribution(params).reshape(16, -1), axis=-1)
 
 
-def _process_chunk(
-    cfg: ProtocolConfig,
-    cdfs: np.ndarray,
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
-    u_out: np.ndarray,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, int, int, list[tuple[int, int, int | None]]]:
-    n = cfg.n
-    counts = np.zeros((4, 4, n, n), dtype=np.int64)
-    a_c, b_c, u_c = a_idx[lo:hi], b_idx[lo:hi], u_out[lo:hi]
-    k_c = np.empty(hi - lo, dtype=np.int64)
-    l_c = np.empty(hi - lo, dtype=np.int64)
-    for a in range(4):
-        for b in range(4):
-            sel = np.nonzero((a_c == a) & (b_c == b))[0]
-            if sel.size == 0:
-                continue
-            flat = np.searchsorted(cdfs[a, b], u_c[sel], side="right")
-            flat = np.minimum(flat, n * n - 1)
-            k_c[sel] = flat // n
-            l_c[sel] = flat % n
-            np.add.at(counts[a, b], (k_c[sel], l_c[sel]), 1)
-    pairs = conjugate_pairs()
-    sift_mask = np.array([(a, b) in pairs for a, b in zip(a_c, b_c)])
-    n_sift = int(sift_mask.sum())
-    n_err = int((k_c[sift_mask] != l_c[sift_mask]).sum())
-    attacked = cfg.attack is not None
-    symbols: list[tuple[int, int, int | None]] = []
-    for r in np.nonzero(sift_mask)[0]:
-        k, l = int(k_c[r]), int(l_c[r])
-        symbols.append((k, l, (l - k) % n if attacked else None))
-    return counts, n_sift, n_err, symbols
+def _sample_block(
+    cdfs: np.ndarray, pair: np.ndarray, u_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome counts of a block of rounds, and its sifted flat outcomes.
+
+    ``pair`` holds each round's basis pair as 4*a + b; outcomes k*n + l
+    are drawn by inverse transform of ``u_out`` through that pair's CDF.
+    The counts are indexed (pair, k*n + l), flattened.
+    """
+    size = cdfs.shape[1]
+    flat = np.empty(pair.size, dtype=np.int64)
+    for p in range(16):
+        sel = np.flatnonzero(pair == p)
+        flat[sel] = np.searchsorted(cdfs[p], u_out[sel], side="right")
+    np.minimum(flat, size - 1, out=flat)
+    counts = np.bincount(pair * size + flat, minlength=16 * size)
+    return counts, flat[_SIFTED[pair]]
 
 
 def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
-    """Run ``cfg.rounds`` protocol rounds, optionally chunked into shards.
+    """Run ``cfg.rounds`` protocol rounds, processed in ``shards`` blocks.
 
-    Shards only split the processing loop; every per-round variate is a
-    fixed function of (seed, round index), so the merged report is
-    identical for every shard count.
+    Shards only split the processing into contiguous blocks (at most one
+    per round); every per-round variate is a fixed function of (seed,
+    round index), so the merged report is identical for every shard
+    count.
     """
+    shards = _strict_int("shards", shards)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     _verify_pairing(cfg.n)
@@ -254,26 +249,28 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
     cdfs = _outcome_cdfs(cfg)
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    u_alice = rng.random(rounds)
-    u_bob = rng.random(rounds)
-    u_out = rng.random(rounds)
     weight_cdf = np.cumsum(cfg.basis_weights)
-    a_idx = np.minimum(np.searchsorted(weight_cdf, u_alice, side="right"), 3)
-    b_idx = np.minimum(np.searchsorted(weight_cdf, u_bob, side="right"), 3)
+    # Draw order is fixed: Alice's basis variates, Bob's, then outcomes.
+    # Only the pair index is kept, so the basis indices are freed early.
+    a_idx = np.minimum(np.searchsorted(weight_cdf, rng.random(rounds), side="right"), 3)
+    b_idx = np.minimum(np.searchsorted(weight_cdf, rng.random(rounds), side="right"), 3)
+    pair = 4 * a_idx + b_idx
+    del a_idx, b_idx
+    u_out = rng.random(rounds)
 
-    counts = np.zeros((4, 4, n, n), dtype=np.int64)
-    n_sift = n_err = 0
-    symbols: list[tuple[int, int, int | None]] = []
-    bounds = np.linspace(0, rounds, shards + 1).astype(int)
+    counts = np.zeros(16 * n * n, dtype=np.int64)
+    sifted = []
+    bounds = np.linspace(0, rounds, min(shards, rounds) + 1).astype(int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            continue
-        c, s, e, sym = _process_chunk(cfg, cdfs, a_idx, b_idx, u_out, int(lo), int(hi))
-        counts += c
-        n_sift += s
-        n_err += e
-        symbols.extend(sym)
+        block_counts, block_sifted = _sample_block(cdfs, pair[lo:hi], u_out[lo:hi])
+        counts += block_counts
+        sifted.append(block_sifted)
+    flat = np.concatenate(sifted)
+    alice, bob = flat // n, flat % n
+    columns = [alice, bob] if cfg.attack is None else [alice, bob, (bob - alice) % n]
 
+    n_sift = int(flat.size)
+    n_err = int(np.count_nonzero(alice != bob))
     qber = n_err / n_sift if n_sift else 0.0
     stderr = math.sqrt(qber * (1.0 - qber) / n_sift) if n_sift else 0.0
     report = SimReport(
@@ -283,8 +280,8 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
         qber=qber,
         qber_stderr=stderr,
         empirical_i_ab=0.0,
-        per_pair_tables=counts,
-        key_symbols=symbols,
+        per_pair_tables=counts.reshape(4, 4, n, n),
+        key_symbols=np.stack(columns, axis=1),
     )
     report.empirical_i_ab = empirical_info(report) if n_sift else 0.0
     return report

@@ -187,7 +187,7 @@ def test_criterion_07_reduced_state_and_isotropic_disguise():
                 target = werner_state(n, werner_noise_fraction(p)).entries
                 for a in range(4):
                     for b in range(4):
-                        table = joint_distribution(p, a, b)
+                        table = joint_distribution(p)[a, b]
                         oracle = born_oracle.density_pair_distribution(
                             target,
                             alice_measurement_basis(n, a).u,

@@ -240,6 +240,15 @@ def test_simulate_is_deterministic_across_shards(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_huge_shard_count_matches_one_shard(tmp_path, capsys):
+    cfg = write_config(tmp_path, rounds=10)
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert run_cli(capsys, "simulate", str(cfg), str(out1))[0] == 0
+    rc = run_cli(capsys, "simulate", str(cfg), str(out2), "--shards", str(2 ** 40))[0]
+    assert rc == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_simulate_env_seed_override(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     base = tmp_path / "base.json"
@@ -272,6 +281,15 @@ def test_simulate_invalid_config_values(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "simulate", str(cfg), str(tmp_path / "out.json"))
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_simulate_rejects_rounds_above_cap(tmp_path, capsys):
+    cfg = write_config(tmp_path, rounds=10 ** 7 + 1)
+    out = tmp_path / "out.json"
+    rc, _, err = run_cli(capsys, "simulate", str(cfg), str(out))
+    assert rc == 2
+    assert "rounds must be in 1..10000000" in err
+    assert not out.exists()
 
 
 def test_simulate_malformed_json(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from ndeb.cloner import CloneParams, joint_distribution
@@ -112,6 +115,18 @@ def test_config_rounds_and_seed_validation():
         make_config(seed=2 ** 64)
 
 
+def test_config_rounds_are_capped():
+    cap = ProtocolConfig.MAX_ROUNDS
+    assert cap == 10 ** 7
+    assert make_config(rounds=cap).rounds == cap
+    with pytest.raises(ValueError, match="rounds must be in 1..10000000"):
+        make_config(rounds=cap + 1)
+    raw = make_config().to_dict()
+    raw["rounds"] = 2 ** 40
+    with pytest.raises(ValueError, match="rounds must be in"):
+        ProtocolConfig.from_dict(raw)
+
+
 def test_config_attack_dimension_must_match():
     with pytest.raises(ValueError):
         make_config(n=2, attack=CROSSOVER3)
@@ -153,9 +168,8 @@ def test_no_attack_run_has_zero_qber(n):
     for a, b in conjugate_pairs():
         table = report.per_pair_tables[a, b]
         assert table.sum() == np.trace(table)
-    for alice, bob, branch in report.key_symbols:
-        assert alice == bob
-        assert branch is None
+    assert report.key_symbols.shape[1:] == (2,)
+    assert (report.key_symbols[:, 0] == report.key_symbols[:, 1]).all()
 
 
 def test_no_attack_empirical_info_is_full_alphabet():
@@ -204,7 +218,9 @@ def test_attacked_qber_matches_crossover_rate():
 def test_attacked_symbols_carry_branch():
     cfg = make_config(rounds=5000, attack=CROSSOVER3)
     report = run_simulation(cfg)
-    assert report.key_symbols
+    assert len(report.key_symbols) > 0
+    assert report.key_symbols.shape[1:] == (3,)
+    assert report.key_symbols.dtype == np.int64
     for alice, bob, branch in report.key_symbols:
         assert branch == (bob - alice) % 3
 
@@ -220,7 +236,7 @@ def test_attacked_tables_pass_chi_square(n):
     for a in range(4):
         for b in range(4):
             assert_counts_match_table(
-                report.per_pair_tables[a, b], joint_distribution(attack, a, b)
+                report.per_pair_tables[a, b], joint_distribution(attack)[a, b]
             )
 
 
@@ -232,7 +248,7 @@ def test_clean_tables_pass_chi_square(n):
     for a in range(4):
         for b in range(4):
             assert_counts_match_table(
-                report.per_pair_tables[a, b], joint_distribution(identity, a, b)
+                report.per_pair_tables[a, b], joint_distribution(identity)[a, b]
             )
 
 
@@ -250,6 +266,39 @@ def test_shard_count_does_not_change_report():
     assert len(digests) == 1
 
 
+# sha256 of the sorted-key report JSON; a change to the random stream or
+# to the report encoding shows up here and is never silent.
+GOLDEN_DIGESTS = [
+    (dict(attack=CROSSOVER3, rounds=10001), 1,
+     "e569896d48fe87fed167173b21bbaca08b8efab1935e307df811662d20c60925"),
+    (dict(attack=CROSSOVER3, rounds=10001), 3,
+     "e569896d48fe87fed167173b21bbaca08b8efab1935e307df811662d20c60925"),
+    (dict(n=16, rounds=2000, basis_weights=(0.7, 0.1, 0.1, 0.1)), 1,
+     "be78da7111a22b34482670e71deed4690f9ac12d78d0846d15062d09bfb2cf56"),
+    (dict(n=2, rounds=1), 1,
+     "41b38fe2110d10960685132b452a8c4c75aeb32a4ad568ba918258de6cbda87d"),
+    (dict(n=2, rounds=1, attack=CloneParams(2, 0.7, math.sqrt(0.19), 0.4), seed=1), 1,
+     "151e30d1395feb9dfa4a821e7829bfd9f5f173a47e4df5a0b02b307ee5211095"),
+    (dict(basis_weights=(0.0, 1.0, 0.0, 0.0), rounds=500), 1,
+     "7a0b9db6c1462524270284e1ec3116b5409400baea64bd53ad5f7c7b205e6734"),
+]
+
+
+def sha256_digest(report):
+    return hashlib.sha256(report_digest(report).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "overrides, shards, digest",
+    GOLDEN_DIGESTS,
+    ids=["n3-attacked-s1", "n3-attacked-s3", "n16-clean", "n2-one-round",
+         "n2-one-round-attacked", "never-sifting"],
+)
+def test_report_golden_digest(overrides, shards, digest):
+    report = run_simulation(make_config(**overrides), shards=shards)
+    assert sha256_digest(report) == digest
+
+
 def test_different_seed_changes_report():
     a = run_simulation(make_config(seed=1))
     b = run_simulation(make_config(seed=2))
@@ -261,13 +310,42 @@ def test_shards_must_be_positive():
         run_simulation(make_config(), shards=0)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0, "2"])
+def test_shards_must_be_an_int(bad):
+    with pytest.raises(ValueError, match="shards must be an int"):
+        run_simulation(make_config(rounds=10), shards=bad)
+
+
+def test_huge_shard_count_runs_one_block_per_round():
+    cfg = make_config(rounds=10, attack=CROSSOVER3)
+    one = sha256_digest(run_simulation(cfg, shards=1))
+    assert sha256_digest(run_simulation(cfg, shards=2 ** 40)) == one
+    assert sha256_digest(run_simulation(cfg, shards=np.int64(10))) == one
+
+
 # ---------------------------------------------------------------- reports
 
 
-def test_report_dict_round_trip():
-    report = run_simulation(make_config(rounds=3000, attack=CROSSOVER3))
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(rounds=3000, attack=CROSSOVER3),
+        dict(rounds=3000),
+        dict(rounds=500, basis_weights=(0.0, 1.0, 0.0, 0.0)),
+    ],
+    ids=["attacked", "clean", "empty-key"],
+)
+def test_report_dict_round_trip(overrides):
+    report = run_simulation(make_config(**overrides))
     again = SimReport.from_dict(report.to_dict())
     assert report_digest(again) == report_digest(report)
+
+
+def test_report_from_dict_rejects_mixed_key_rows():
+    raw = run_simulation(make_config(rounds=3000, attack=CROSSOVER3)).to_dict()
+    raw["key_symbols"][-1][2] = None
+    with pytest.raises(ValueError, match="mix rows"):
+        SimReport.from_dict(raw)
 
 
 def test_empirical_info_uniform_table_is_zero():
@@ -307,4 +385,48 @@ def test_never_sifting_weights_give_empty_key():
     assert report.qber == 0.0
     assert report.qber_stderr == 0.0
     assert report.empirical_i_ab == 0.0
-    assert report.key_symbols == []
+    assert len(report.key_symbols) == 0
+
+
+# ---------------------------------------------------------------- properties
+
+
+@st.composite
+def clone_params(draw, n):
+    """A random member of the symmetric attack family in dimension n."""
+    v, x, y = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+    norm = math.sqrt(v * v + (n - 1) * x * x + n * (n - 1) * y * y)
+    assume(norm > 1e-3)
+    return CloneParams(n, v / norm, x / norm, y / norm)
+
+
+@st.composite
+def protocol_configs(draw):
+    n = draw(st.integers(2, 5))
+    parts = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4))
+    assume(sum(parts) > 0)
+    attack = draw(st.one_of(st.none(), clone_params(n)))
+    return ProtocolConfig(
+        n=n,
+        rounds=draw(st.integers(1, 2000)),
+        basis_weights=tuple(k / sum(parts) for k in parts),
+        attack=attack,
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=protocol_configs(), shards=st.integers(1, 9))
+def test_property_shard_count_does_not_change_report(cfg, shards):
+    assert sha256_digest(run_simulation(cfg, shards=shards)) == sha256_digest(
+        run_simulation(cfg)
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6))
+def test_property_joint_tables_are_normalized(data, n):
+    tables = joint_distribution(data.draw(clone_params(n)))
+    assert tables.shape == (4, 4, n, n)
+    assert tables.min() >= -1e-12
+    np.testing.assert_allclose(tables.sum(axis=(2, 3)), 1.0, rtol=0, atol=1e-10)
