@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -26,9 +26,16 @@ EIG_ATOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 
+def strict_int(name: str, value: Any) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def check_dim(n: int) -> int:
-    """Validate a qudit dimension (an int >= 2)."""
-    n = int(n)
+    """Validate a qudit dimension (an int >= 2, not a bool or float)."""
+    n = strict_int("qudit dimension", n)
     if n < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {n}")
     return n

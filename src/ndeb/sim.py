@@ -19,14 +19,20 @@ attack, (alice, bob) on a clean run.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .cloner import PARTNER, CloneParams, joint_distribution
-from .qudit import basis_relabeling, check_dim, conjugate_basis, optimal_angles, phi_basis
+from .qudit import (
+    basis_relabeling,
+    check_dim,
+    conjugate_basis,
+    optimal_angles,
+    phi_basis,
+    strict_int,
+)
 
 WEIGHT_ATOL = 1e-9
 
@@ -67,11 +73,22 @@ def _verify_pairing(n: int) -> None:
     _verified_dims.add(n)
 
 
-def _strict_int(name: str, value: Any) -> int:
-    """``value`` as an int; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    return int(value)
+def key_columns(flat: np.ndarray, n: int, attacked: bool) -> np.ndarray:
+    """Key rows of flat outcomes k*n + l, as an int64 array.
+
+    Columns alice = k, bob = l and, under attack, the eavesdropper
+    branch (bob - alice) mod n.
+    """
+    flat = np.asarray(flat, dtype=np.int64)
+    alice, bob = flat // n, flat % n
+    return np.stack([alice, bob, (bob - alice) % n] if attacked else [alice, bob], axis=1)
+
+
+def key_rows(key: np.ndarray) -> list[list[int | None]]:
+    """Key rows as report lists: [alice, bob, branch], branch None on a clean run."""
+    if key.shape[1] == 2:
+        return [[alice, bob, None] for alice, bob in zip(*key.T.tolist())]
+    return key.tolist()
 
 
 @dataclass(frozen=True)
@@ -91,8 +108,8 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        n = check_dim(_strict_int("n", self.n))
-        rounds = _strict_int("rounds", self.rounds)
+        n = check_dim(strict_int("n", self.n))
+        rounds = strict_int("rounds", self.rounds)
         if not 1 <= rounds <= self.MAX_ROUNDS:
             raise ValueError(f"rounds must be in 1..{self.MAX_ROUNDS}, got {rounds}")
         weights = tuple(float(w) for w in self.basis_weights)
@@ -108,7 +125,7 @@ class ProtocolConfig:
             raise ValueError(
                 f"attack dimension {self.attack.dim} does not match n={n}"
             )
-        seed = _strict_int("seed", self.seed)
+        seed = strict_int("seed", self.seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned int, got {seed}")
         object.__setattr__(self, "n", n)
@@ -126,7 +143,7 @@ class ProtocolConfig:
         if attack is not None:
             try:
                 params = CloneParams(
-                    _strict_int("n", d["n"]), attack["v"], attack["x"], attack["y"]
+                    strict_int("n", d["n"]), attack["v"], attack["x"], attack["y"]
                 )
             except (KeyError, TypeError) as exc:
                 raise ValueError(
@@ -174,37 +191,41 @@ class SimReport:
     per_pair_tables: np.ndarray
     key_symbols: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.int64))
 
+    SCALARS = ("n", "rounds", "sifted_fraction", "qber", "qber_stderr", "empirical_i_ab")
+
+    def summary(self) -> dict[str, Any]:
+        """Every report field but key_symbols, which comes last, in report order."""
+        fields = {name: getattr(self, name) for name in self.SCALARS}
+        fields["per_pair_tables"] = self.per_pair_tables.tolist()
+        return fields
+
     def to_dict(self) -> dict[str, Any]:
-        if self.key_symbols.shape[1] == 2:
-            rows = [[alice, bob, None] for alice, bob in zip(*self.key_symbols.T.tolist())]
-        else:
-            rows = self.key_symbols.tolist()
-        return {
-            "n": self.n,
-            "rounds": self.rounds,
-            "sifted_fraction": self.sifted_fraction,
-            "qber": self.qber,
-            "qber_stderr": self.qber_stderr,
-            "empirical_i_ab": self.empirical_i_ab,
-            "per_pair_tables": self.per_pair_tables.tolist(),
-            "key_symbols": rows,
-        }
+        return {**self.summary(), "key_symbols": key_rows(self.key_symbols)}
 
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "SimReport":
+        n = int(d["n"])
         rows = d["key_symbols"]
+        if any(len(row) != 3 for row in rows):
+            raise ValueError("every key row must hold 3 entries: alice, bob, branch")
         width = 3 if rows and rows[0][2] is not None else 2
         if any((row[2] is None) != (width == 2) for row in rows):
             raise ValueError("key symbols mix rows with and without a branch")
+        key = np.array([r[:width] for r in rows], np.int64).reshape(-1, width)
+        if key.size and (key.min() < 0 or key.max() >= n):
+            raise ValueError(f"key symbols must lie in 0..{n - 1}")
+        flat = key[:, 0] * n + key[:, 1]
+        if not np.array_equal(key, key_columns(flat, n, width == 3)):
+            raise ValueError("a key branch is not (bob - alice) mod n")
         return SimReport(
-            n=int(d["n"]),
+            n=n,
             rounds=int(d["rounds"]),
             sifted_fraction=float(d["sifted_fraction"]),
             qber=float(d["qber"]),
             qber_stderr=float(d["qber_stderr"]),
             empirical_i_ab=float(d["empirical_i_ab"]),
             per_pair_tables=np.asarray(d["per_pair_tables"], dtype=np.int64),
-            key_symbols=np.array([r[:width] for r in rows], np.int64).reshape(-1, width),
+            key_symbols=key,
         )
 
 
@@ -241,7 +262,7 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
     round index), so the merged report is identical for every shard
     count.
     """
-    shards = _strict_int("shards", shards)
+    shards = strict_int("shards", shards)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     _verify_pairing(cfg.n)
@@ -265,12 +286,10 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
         block_counts, block_sifted = _sample_block(cdfs, pair[lo:hi], u_out[lo:hi])
         counts += block_counts
         sifted.append(block_sifted)
-    flat = np.concatenate(sifted)
-    alice, bob = flat // n, flat % n
-    columns = [alice, bob] if cfg.attack is None else [alice, bob, (bob - alice) % n]
+    key = key_columns(np.concatenate(sifted), n, cfg.attack is not None)
 
-    n_sift = int(flat.size)
-    n_err = int(np.count_nonzero(alice != bob))
+    n_sift = len(key)
+    n_err = int(np.count_nonzero(key[:, 0] != key[:, 1]))
     qber = n_err / n_sift if n_sift else 0.0
     stderr = math.sqrt(qber * (1.0 - qber) / n_sift) if n_sift else 0.0
     report = SimReport(
@@ -281,7 +300,7 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
         qber_stderr=stderr,
         empirical_i_ab=0.0,
         per_pair_tables=counts.reshape(4, 4, n, n),
-        key_symbols=np.stack(columns, axis=1),
+        key_symbols=key,
     )
     report.empirical_i_ab = empirical_info(report) if n_sift else 0.0
     return report

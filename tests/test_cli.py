@@ -1,13 +1,21 @@
+import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 import ndeb
-from ndeb.cli import main
+from ndeb import cli
+from ndeb.cli import _envelope, main, write_report
+from ndeb.sim import ProtocolConfig, run_simulation
+
+from strategies import protocol_configs
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +255,81 @@ def test_simulate_huge_shard_count_matches_one_shard(tmp_path, capsys):
     rc = run_cli(capsys, "simulate", str(cfg), str(out2), "--shards", str(2 ** 40))[0]
     assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+CROSSOVER3 = {"v": 0.8319757906688726, "x": 0.17108599520763154, "y": 0.2038281335784852}
+GOLDEN_BASE = dict(n=3, rounds=20000, basis_weights=[0.25] * 4, attack=None, seed=20240811)
+
+# sha256 of the file `ndeb simulate` writes, taken from the json.dump
+# writer: the first six are the configs of test_report_golden_digest, the
+# last two small versions of the benchmark's simulate workloads.
+GOLDEN_REPORT_FILES = [
+    (dict(attack=CROSSOVER3, rounds=10001), 1,
+     "e7c8b8c5fa2785e96707be77f5fb0ec4179c71a24652e7a42b1d7d4df5579507"),
+    (dict(attack=CROSSOVER3, rounds=10001), 3,
+     "e7c8b8c5fa2785e96707be77f5fb0ec4179c71a24652e7a42b1d7d4df5579507"),
+    (dict(n=16, rounds=2000, basis_weights=[0.7, 0.1, 0.1, 0.1]), 1,
+     "b75967239f12d111d8776664b7e50573014827bbd688fa68ab111beeb3b3594f"),
+    (dict(n=2, rounds=1), 1,
+     "edc9cbb70c6c1c1a7b41cca5c1d5836b6855017caeb1328add6c8c03f627163d"),
+    (dict(n=2, rounds=1, attack={"v": 0.7, "x": math.sqrt(0.19), "y": 0.4}, seed=1), 1,
+     "3064ea46ede4c384dfe00bafee00ebd5ead8381ea514fdbfea7d2f7dab3b2756"),
+    (dict(basis_weights=[0.0, 1.0, 0.0, 0.0], rounds=500), 1,
+     "2e26c63eca599eb8915d478149ac3acfa0b85ba64c73960732d57d0ccf50c13d"),
+    (dict(attack=CROSSOVER3, rounds=30000, seed=7), 2,
+     "c7237836b17700fa1bd0471cb38d0efce1e98bf7df9e32130a99c72e855ffb2d"),
+    (dict(n=16, rounds=6000, basis_weights=[0.7, 0.1, 0.1, 0.1], seed=7), 1,
+     "2dd35dd538ee0f19f2322372c78be4188b3c35f4fc6843da54b993f4bd0d5bdf"),
+]
+
+
+def reference_report_text(report):
+    """The report file as the json.dump writer made it."""
+    return json.dumps(_envelope("simulate", report.to_dict()), indent=2) + "\n"
+
+
+def assert_same_text(got, want):
+    # pytest's own diff of two large texts can run for minutes, so show
+    # only where they part.
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts part at offset {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+
+
+@pytest.mark.parametrize(
+    "overrides, shards, digest",
+    GOLDEN_REPORT_FILES,
+    ids=["n3-attacked-s1", "n3-attacked-s3", "n16-clean", "n2-one-round",
+         "n2-one-round-attacked", "never-sifting", "bench-n3-attacked-s2",
+         "bench-n16-clean"],
+)
+def test_simulate_report_file_golden_digest(tmp_path, capsys, overrides, shards, digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**GOLDEN_BASE, **overrides}))
+    out = tmp_path / "report.json"
+    assert run_cli(capsys, "simulate", str(cfg), str(out), "--shards", str(shards))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=protocol_configs())
+@example(cfg=ProtocolConfig(3, 500, (0.0, 1.0, 0.0, 0.0), None, 5))
+def test_property_report_writer_matches_json_encoder(cfg):
+    report = run_simulation(cfg)
+    buf = io.StringIO()
+    write_report(buf, report)
+    assert_same_text(buf.getvalue(), reference_report_text(report))
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 7, 16])
+def test_report_writer_slices_match_json_encoder(monkeypatch, rows_per_write):
+    # 64 rounds with one basis always sift into exactly 64 rows.
+    report = run_simulation(ProtocolConfig(3, 64, (1.0, 0.0, 0.0, 0.0), None, 3))
+    assert len(report.key_symbols) == 64
+    monkeypatch.setattr(cli, "KEY_ROWS_PER_WRITE", rows_per_write)
+    buf = io.StringIO()
+    write_report(buf, report)
+    assert_same_text(buf.getvalue(), reference_report_text(report))
 
 
 def test_simulate_env_seed_override(tmp_path, capsys, monkeypatch):

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndeb.cloner import AmplitudeMatrix, CloneParams, params_to_matrix
 from ndeb.info import entropy, eve_conditional, eve_info, i_ab, i_ae
+from ndeb.thresholds import clone_family_at_fidelity
 
 import born_oracle
+from strategies import clone_params
 
 RNG = np.random.default_rng(90817)
 
@@ -199,3 +203,32 @@ def test_eve_info_on_a_stack_matches_per_matrix_i_ae(n):
     expected = [loop_i_ae(a) for a in stack]
     np.testing.assert_allclose(eve_info(stack), expected, atol=1e-12)
     np.testing.assert_allclose([i_ae(AmplitudeMatrix(a)) for a in stack], expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------- properties
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8))
+def test_property_i_ae_lies_between_zero_and_log2_n(data, n):
+    value = i_ae(data.draw(clone_params(n)))
+    assert -1e-12 <= value <= math.log2(n) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    fids=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+)
+def test_property_i_ab_falls_as_the_error_rate_rises(n, fids, shares):
+    # On the symmetric family I_AB = log2 N - H(F, (1-F)/(N-1), ...) is
+    # smallest (zero) at F = 1/N, so above 1/N it rises with F: more
+    # disturbance, less shared information.  y does not enter I_AB.
+    def at(t, share):
+        f = 1.0 / n + t * (1.0 - 1.0 / n)
+        y_max = math.sqrt(min(f, (1.0 - f) / (n - 1)) / (n - 1))
+        return i_ab(clone_family_at_fidelity(n, f, share * y_max))
+
+    lo, hi = sorted(fids)
+    assert at(lo, shares[0]) <= at(hi, shares[1]) + 1e-12

@@ -50,6 +50,15 @@ def test_check_dim_rejects_small(bad):
 
 def test_check_dim_passes_through():
     assert check_dim(7) == 7
+    assert check_dim(np.int64(7)) == 7
+
+
+@pytest.mark.parametrize("bad", [2.9, 3.0, "3", True])
+def test_check_dim_rejects_non_ints(bad):
+    with pytest.raises(ValueError, match="qudit dimension must be an int"):
+        check_dim(bad)
+    with pytest.raises(ValueError, match="qudit dimension must be an int"):
+        phi_basis(bad, 0.1)
 
 
 # ---------------------------------------------------------------- StateVector

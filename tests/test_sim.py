@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -17,6 +17,8 @@ from ndeb.sim import (
     empirical_info,
     run_simulation,
 )
+
+from strategies import clone_params, protocol_configs
 
 CROSSOVER3 = CloneParams(
     3, 0.8319757906688726, 0.17108599520763154, 0.2038281335784852
@@ -348,6 +350,25 @@ def test_report_from_dict_rejects_mixed_key_rows():
         SimReport.from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "attack, row, message",
+    [
+        (None, [0, 0], "3 entries"),
+        (CROSSOVER3, [0, 1, 1, 0], "3 entries"),
+        (None, [7, 9, None], r"0\.\.2"),
+        (CROSSOVER3, [-1, 1, 2], r"0\.\.2"),
+        (CROSSOVER3, [0, 1, 2], r"not \(bob - alice\) mod n"),
+    ],
+    ids=["clean-short-row", "attacked-long-row", "clean-out-of-range",
+         "attacked-negative", "attacked-wrong-branch"],
+)
+def test_report_from_dict_rejects_malformed_key_rows(attack, row, message):
+    raw = run_simulation(make_config(rounds=300, attack=attack)).to_dict()
+    raw["key_symbols"].append(row)
+    with pytest.raises(ValueError, match=message):
+        SimReport.from_dict(raw)
+
+
 def test_empirical_info_uniform_table_is_zero():
     n = 3
     tables = np.zeros((4, 4, n, n), dtype=np.int64)
@@ -391,30 +412,6 @@ def test_never_sifting_weights_give_empty_key():
 # ---------------------------------------------------------------- properties
 
 
-@st.composite
-def clone_params(draw, n):
-    """A random member of the symmetric attack family in dimension n."""
-    v, x, y = (draw(st.floats(0.0, 1.0)) for _ in range(3))
-    norm = math.sqrt(v * v + (n - 1) * x * x + n * (n - 1) * y * y)
-    assume(norm > 1e-3)
-    return CloneParams(n, v / norm, x / norm, y / norm)
-
-
-@st.composite
-def protocol_configs(draw):
-    n = draw(st.integers(2, 5))
-    parts = draw(st.lists(st.integers(0, 10), min_size=4, max_size=4))
-    assume(sum(parts) > 0)
-    attack = draw(st.one_of(st.none(), clone_params(n)))
-    return ProtocolConfig(
-        n=n,
-        rounds=draw(st.integers(1, 2000)),
-        basis_weights=tuple(k / sum(parts) for k in parts),
-        attack=attack,
-        seed=draw(st.integers(0, 2 ** 64 - 1)),
-    )
-
-
 @settings(max_examples=50, deadline=None)
 @given(cfg=protocol_configs(), shards=st.integers(1, 9))
 def test_property_shard_count_does_not_change_report(cfg, shards):
@@ -430,3 +427,10 @@ def test_property_joint_tables_are_normalized(data, n):
     assert tables.shape == (4, 4, n, n)
     assert tables.min() >= -1e-12
     np.testing.assert_allclose(tables.sum(axis=(2, 3)), 1.0, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=protocol_configs())
+def test_property_config_round_trips(cfg):
+    assert ProtocolConfig.from_dict(cfg.to_dict()) == cfg
+    assert ProtocolConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
