@@ -36,6 +36,8 @@ SCHEMA_VERSION = "1"
 N_CAP = 16
 # Key rows are written in slices of this many, which bounds the text held at once.
 KEY_ROWS_PER_WRITE = 1 << 16
+# ThresholdRecord fields that describe the crossover search itself.
+DIAGNOSTICS = ("root_evals", "residual", "y_at_bound")
 
 
 class CliError(ValueError):
@@ -88,11 +90,15 @@ def _emit_rows(command: str, header: list[str], rows: list[list[Any]], fmt: str)
 
 def cmd_table(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n)
+    # The optimizer diagnostics ride only in JSON; the CSV columns stay fixed.
+    diagnostics = list(DIAGNOSTICS) if args.format == "json" else []
     rows = []
     for rec in security_report(lo, hi):
         params = CloneParams(rec.n, rec.v, rec.x, rec.y)
-        rows.append([rec.n, rec.f_a, rec.v, rec.x, rec.y, i_ab(params)])
-    _emit_rows("table", ["n", "f_a", "v", "x", "y", "mutual_info_bits"], rows, args.format)
+        row = [rec.n, rec.f_a, rec.v, rec.x, rec.y, i_ab(params)]
+        rows.append(row + [getattr(rec, name) for name in diagnostics])
+    header = ["n", "f_a", "v", "x", "y", "mutual_info_bits"] + diagnostics
+    _emit_rows("table", header, rows, args.format)
     return 0
 
 

@@ -204,27 +204,42 @@ class SimReport:
 
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "SimReport":
-        n = int(d["n"])
+        n = check_dim(d["n"])
+        rounds = strict_int("rounds", d["rounds"])
         rows = d["key_symbols"]
         if any(len(row) != 3 for row in rows):
             raise ValueError("every key row must hold 3 entries: alice, bob, branch")
         width = 3 if rows and rows[0][2] is not None else 2
         if any((row[2] is None) != (width == 2) for row in rows):
             raise ValueError("key symbols mix rows with and without a branch")
+        for row in rows:
+            for value in row[:width]:
+                strict_int("key symbol", value)
         key = np.array([r[:width] for r in rows], np.int64).reshape(-1, width)
         if key.size and (key.min() < 0 or key.max() >= n):
             raise ValueError(f"key symbols must lie in 0..{n - 1}")
         flat = key[:, 0] * n + key[:, 1]
         if not np.array_equal(key, key_columns(flat, n, width == 3)):
             raise ValueError("a key branch is not (bob - alice) mod n")
+        tables = np.asarray(d["per_pair_tables"], dtype=object)
+        if tables.shape != (4, 4, n, n):
+            raise ValueError(
+                f"per_pair_tables must have shape (4, 4, {n}, {n}), got {tables.shape}"
+            )
+        for count in tables.flat:
+            if strict_int("table count", count) < 0:
+                raise ValueError(f"table counts must be >= 0, got {count}")
+        tables = tables.astype(np.int64)
+        if tables.sum() != rounds:
+            raise ValueError(f"table counts sum to {tables.sum()}, not rounds={rounds}")
         return SimReport(
             n=n,
-            rounds=int(d["rounds"]),
+            rounds=rounds,
             sifted_fraction=float(d["sifted_fraction"]),
             qber=float(d["qber"]),
             qber_stderr=float(d["qber_stderr"]),
             empirical_i_ab=float(d["empirical_i_ab"]),
-            per_pair_tables=np.asarray(d["per_pair_tables"], dtype=np.int64),
+            per_pair_tables=tables,
             key_symbols=key,
         )
 

@@ -13,22 +13,23 @@ a fidelity through F = (N-1)/N * V + 1/N for the isotropic mixture.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloner import CloneParams
 from .info import eve_info, i_ab
+from .qudit import check_dim
 
 GRID_POINTS = 129
 ZOOM_TOL = 1e-10
-BISECT_STEPS = 60
 BRACKET_PAD = 1e-6
 FEAS_TOL = 1e-12
-
-# The crossover fidelity decreases with N; in the large-N limit it
-# approaches 1/2 while the error-rate threshold approaches 50%.
-CROSSOVER_LIMIT_LARGE_N = 0.5
+# Brent stops once the bracket is narrower than ROOT_XTOL + ROOT_RTOL * |F|.
+ROOT_XTOL = 1e-16
+ROOT_RTOL = 4 * sys.float_info.epsilon
+ROOT_MAX_STEPS = 100
 
 
 def y_max(n: int, fidelity: float) -> float:
@@ -87,20 +88,44 @@ def max_eve_info(n: int, fidelity: float) -> tuple[CloneParams, float]:
         hi = ys[min(best + 1, GRID_POINTS - 1)]
 
 
-def _bisect(g, lo: float, hi: float, steps: int = BISECT_STEPS) -> float:
-    """Root of g by bisection; g(lo) and g(hi) must straddle zero."""
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise RuntimeError(
-            f"bisection bracket failure: g({lo})={g_lo}, g({hi})={g_hi}"
-        )
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
+def _brent(g, lo: float, hi: float) -> float:
+    """Root of g in [lo, hi] by Brent's method; g(lo) and g(hi) must differ in sign.
+
+    Each step tries inverse quadratic interpolation through the last three
+    points (a secant step when two coincide) and falls back to bisection
+    when the trial step would not shrink the bracket fast enough.  The
+    returned root is always a point g was evaluated at.
+    """
+    a, fa, b, fb = lo, g(lo), hi, g(hi)
+    if not (fa <= 0.0 <= fb or fb <= 0.0 <= fa):
+        raise RuntimeError(f"root bracket failure: g({lo})={fa}, g({hi})={fb}")
+    # b is the best estimate, a the previous one, c the far end of the bracket [b, c].
+    c, fc, step, prev_step = a, fa, b - a, b - a
+    for _ in range(ROOT_MAX_STEPS):
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc, step, prev_step = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 0.5 * (ROOT_XTOL + ROOT_RTOL * abs(b))
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) < tol:
+            return b
+        if abs(prev_step) > tol and abs(fb) < abs(fa):
+            if a == c:  # secant through a and b
+                trial = -fb * (b - a) / (fb - fa)
+            else:  # inverse quadratic through a, b and c
+                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
+                trial = -fb * (fc * dc - fa * da) / (da * dc * (fc - fa))
+            if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - tol):
+                prev_step, step = step, trial
+            else:
+                prev_step = step = half
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = g(b)
+    raise RuntimeError(f"no root within {ROOT_MAX_STEPS} steps in [{lo}, {hi}]")
 
 
 def visibility_threshold(n: int) -> float:
@@ -138,25 +163,28 @@ class ThresholdRecord:
     v_thr: float  # local-realism visibility threshold
     f_thr: float  # same threshold expressed as fidelity
     nonlocal_sufficient: bool  # f_thr >= f_a - 1e-6
+    root_evals: int  # evaluations of g(F) = I_AB - max I_AE by the root-finder
+    residual: float  # |I_AB - I_AE| at f_a
+    y_at_bound: bool  # the optimal y sits within ZOOM_TOL of 0 or y_max(n, f_a)
 
 
 def crossover_fidelity(n: int) -> ThresholdRecord:
     """Fidelity where the legitimate information meets the best attack's.
 
-    Bisection of g(F) = i_ab(F) - max_eve_info(F) over
-    [1/N + 1e-6, 1 - 1e-6]; 60 steps pin F down to ~1e-18 of bracket,
-    comfortably inside the 1e-5 target.
+    Brent's method on g(F) = i_ab(F) - max_eve_info(F) over
+    [1/N + 1e-6, 1 - 1e-6], run until the bracket is a few ulps of F
+    wide; that takes about 10 evaluations of g.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    n = check_dim(n)
+    seen = {}  # F -> (optimal params, g(F)) for every F that g was evaluated at
 
     def g(fid: float) -> float:
-        legit = i_ab(clone_family_at_fidelity(n, fid, 0.0))
-        return legit - max_eve_info(n, fid)[1]
+        params, eve = max_eve_info(n, fid)
+        seen[fid] = params, i_ab(clone_family_at_fidelity(n, fid, 0.0)) - eve
+        return seen[fid][1]
 
-    f_a = _bisect(g, 1.0 / n + BRACKET_PAD, 1.0 - BRACKET_PAD)
-    params, _ = max_eve_info(n, f_a)
+    f_a = _brent(g, 1.0 / n + BRACKET_PAD, 1.0 - BRACKET_PAD)
+    params, gap = seen[f_a]
     v_thr = visibility_threshold(n)
     f_thr = fidelity_threshold(n)
     return ThresholdRecord(
@@ -168,6 +196,9 @@ def crossover_fidelity(n: int) -> ThresholdRecord:
         v_thr=v_thr,
         f_thr=f_thr,
         nonlocal_sufficient=bool(f_thr >= f_a - 1e-6),
+        root_evals=len(seen),
+        residual=abs(gap),
+        y_at_bound=bool(params.y <= ZOOM_TOL or params.y >= y_max(n, f_a) - ZOOM_TOL),
     )
 
 

@@ -65,6 +65,20 @@ def test_table_json_output(capsys):
     assert abs(rows[0]["mutual_info_bits"] - 0.3991239633071437) < 1e-6
 
 
+def test_table_json_carries_optimizer_diagnostics(capsys):
+    rc, out, err = run_cli(capsys, "table", "--n", "2..4", "--format", "json")
+    assert rc == 0 and err == ""
+    for row in json.loads(out)["payload"]["rows"]:
+        assert list(row) == ["n", "f_a", "v", "x", "y", "mutual_info_bits",
+                             "root_evals", "residual", "y_at_bound"]
+        assert isinstance(row["root_evals"], int) and 2 <= row["root_evals"] <= 20
+        assert 0.0 <= row["residual"] <= 1e-12
+        assert row["y_at_bound"] is False
+    rc, out, err = run_cli(capsys, "report", "--n", "2", "--format", "json")
+    assert rc == 0
+    assert "root_evals" not in json.loads(out)["payload"]["rows"][0]
+
+
 @pytest.mark.parametrize("bad", ["1..3", "5..3", "abc", "17", "2..99"])
 def test_table_rejects_bad_ranges(capsys, bad):
     rc, out, err = run_cli(capsys, "table", "--n", bad)

@@ -369,6 +369,65 @@ def test_report_from_dict_rejects_malformed_key_rows(attack, row, message):
         SimReport.from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 3.9, "int"),
+        ("n", "3", "int"),
+        ("rounds", 2.5, "int"),
+        ("rounds", True, "int"),
+    ],
+    ids=["float-n", "string-n", "float-rounds", "bool-rounds"],
+)
+def test_report_from_dict_rejects_non_int_sizes(field, value, message):
+    raw = run_simulation(make_config(rounds=300)).to_dict()
+    raw[field] = value
+    with pytest.raises(ValueError, match=message):
+        SimReport.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "attack, row",
+    [
+        (None, [True, 1, None]),
+        (None, [1.7, 1, None]),
+        (CROSSOVER3, [0, 1, 1.0]),
+        (CROSSOVER3, [0, "1", 1]),
+    ],
+    ids=["clean-bool", "clean-float", "attacked-float-branch", "attacked-string"],
+)
+def test_report_from_dict_rejects_non_int_key_entries(attack, row):
+    raw = run_simulation(make_config(rounds=300, attack=attack)).to_dict()
+    raw["key_symbols"].append(row)
+    with pytest.raises(ValueError, match="key symbol must be an int"):
+        SimReport.from_dict(raw)
+
+
+def _with_count(tables, value):
+    tables = [[[list(r) for r in t] for t in row] for row in tables]
+    tables[0][0][0][0] = value
+    return tables
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda t: t[:3], "shape"),
+        (lambda t: [[[r[:2] for r in tab] for tab in row] for row in t], "shape"),
+        (lambda t: _with_count(t, t[0][0][0][0] + 0.5), "int"),
+        (lambda t: _with_count(t, True), "int"),
+        (lambda t: _with_count(t, -1), ">= 0"),
+        (lambda t: _with_count(t, t[0][0][0][0] + 1), "sum to"),
+    ],
+    ids=["three-pairs", "two-outcomes", "float-count", "bool-count", "negative", "wrong-sum"],
+)
+def test_report_from_dict_rejects_bad_tables(change, message):
+    raw = run_simulation(make_config(rounds=300)).to_dict()
+    raw["per_pair_tables"] = change(raw["per_pair_tables"])
+    with pytest.raises(ValueError, match=message):
+        SimReport.from_dict(raw)
+
+
 def test_empirical_info_uniform_table_is_zero():
     n = 3
     tables = np.zeros((4, 4, n, n), dtype=np.int64)

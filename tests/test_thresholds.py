@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from ndeb import thresholds
 from ndeb.cloner import CloneParams, fidelity_disturbances
 from ndeb.info import i_ab, i_ae
 from ndeb.thresholds import (
-    CROSSOVER_LIMIT_LARGE_N,
+    ROOT_RTOL,
     ThresholdRecord,
-    _bisect,
+    _brent,
     _eve_info_curve,
     clone_family_at_fidelity,
     crossover_fidelity,
@@ -19,10 +21,19 @@ from ndeb.thresholds import (
     y_max,
 )
 
+# The crossover fidelity decreases with N; in the large-N limit it
+# approaches 1/2 while the error-rate threshold approaches 50%.
+CROSSOVER_LIMIT_LARGE_N = 0.5
+
 
 @pytest.fixture(scope="module")
 def records():
     return security_report(2, 10)
+
+
+@pytest.fixture(scope="module")
+def all_records():
+    return security_report(2, 16)
 
 
 # ---------------------------------------------------------------- family
@@ -101,14 +112,42 @@ def test_max_eve_info_rejects_out_of_range_fidelity():
         max_eve_info(3, 1.2)
 
 
-def test_bisect_finds_simple_root():
-    root = _bisect(lambda x: x - 0.3, 0.0, 1.0)
+def test_brent_finds_simple_root():
+    root = _brent(lambda x: x - 0.3, 0.0, 1.0)
     assert root == pytest.approx(0.3, abs=1e-15)
+    assert _brent(lambda x: x, 0.0, 1.0) == 0.0  # a root on the bracket's edge
+    assert _brent(lambda x: 1.0 - x, 0.0, 1.0) == 1.0
 
 
-def test_bisect_reports_bracket_failure():
+def test_brent_reports_bracket_failure():
     with pytest.raises(RuntimeError, match="bracket"):
-        _bisect(lambda x: 1.0, 0.0, 1.0)
+        _brent(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="bracket"):
+        _brent(lambda x: math.nan, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: x - 0.3, 0.0, 1.0),
+        (lambda x: math.exp(x) - 2.0, 0.0, 2.0),
+        (lambda x: x ** 3 - 0.1, -1.0, 1.0),
+        (lambda x: math.tanh(8.0 * (x - 0.7)), 0.0, 1.0),
+        (lambda x: 0.5 - x * x, 0.0, 1.0),
+        (lambda x: math.log(x) + x, 0.1, 2.0),
+    ],
+    ids=["linear", "exp", "cubic", "steep-tanh", "decreasing", "log"],
+)
+def test_brent_agrees_with_scipy_brentq(f, lo, hi):
+    evaluated = []
+
+    def g(x):
+        evaluated.append(x)
+        return f(x)
+
+    root = _brent(g, lo, hi)
+    assert root in evaluated
+    assert root == pytest.approx(brentq(f, lo, hi, xtol=1e-16, rtol=ROOT_RTOL), abs=1e-14)
 
 
 # ---------------------------------------------------------------- thresholds
@@ -144,15 +183,43 @@ def test_crossover_regression_values():
         assert crossover_fidelity(n).f_a == pytest.approx(f_a, abs=1e-9), n
 
 
-def test_crossover_balances_the_two_channels():
-    rec = crossover_fidelity(3)
-    p = CloneParams(3, rec.v, rec.x, rec.y)
-    assert i_ab(p) == pytest.approx(i_ae(p), abs=1e-6)
+def test_crossover_balances_the_two_channels(all_records):
+    for rec in all_records:
+        p = CloneParams(rec.n, rec.v, rec.x, rec.y)
+        assert i_ab(p) == pytest.approx(i_ae(p), abs=1e-12), rec.n
+
+
+def test_crossover_diagnostics(all_records):
+    for rec in all_records:
+        assert rec.residual <= 1e-12, rec.n
+        assert rec.root_evals <= 20, rec.n
+        assert rec.y_at_bound is False, rec.n
+
+
+def test_crossover_makes_few_attack_optimizations(monkeypatch):
+    calls = []
+
+    def counted(n, fidelity):
+        calls.append(fidelity)
+        return max_eve_info(n, fidelity)
+
+    monkeypatch.setattr(thresholds, "max_eve_info", counted)
+    for n in range(2, 17):
+        calls.clear()
+        rec = crossover_fidelity(n)
+        assert len(calls) == rec.root_evals <= 20, n
+        assert rec.f_a in calls, n
 
 
 def test_crossover_rejects_dim_one():
     with pytest.raises(ValueError):
         crossover_fidelity(1)
+
+
+@pytest.mark.parametrize("bad", [2.9, "3", True])
+def test_crossover_rejects_non_int_dim(bad):
+    with pytest.raises(ValueError):
+        crossover_fidelity(bad)
 
 
 def test_crossover_fidelities_decrease_toward_half(records):
