@@ -66,8 +66,11 @@ def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
     n = rows.shape[-1]
     w = np.sum(np.abs(rows) ** 2, axis=-1)
     amps = np.abs(n * np.fft.ifft(rows, axis=-1)) ** 2
-    scale = np.divide(1.0, n * w, out=np.zeros_like(w), where=w > 0.0)
-    return w, amps * scale[..., None]
+    # divide by N*w itself, not by 1/(N*w): the reciprocal of a subnormal
+    # weight overflows to inf, while |N*ifft|^2 <= N*w keeps p finite
+    norm = (n * w)[..., None]
+    p = np.divide(amps, norm, out=np.zeros_like(amps), where=norm > 0.0)
+    return w, p
 
 
 def eve_info(rows, repeats=1) -> np.ndarray:

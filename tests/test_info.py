@@ -154,6 +154,18 @@ def test_i_ae_stays_in_range(n):
         assert -1e-12 <= val <= math.log2(n) + 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("y", [1.256314575070179e-157, 1e-170, 1e-300])
+def test_i_ae_with_subnormal_branch_weight(n, y):
+    # w = N*y^2 is subnormal or 0, so 1/(N*w) would overflow; the branch
+    # carries no weight and Eve's information is that of the identity attack
+    p = CloneParams(n, 0.0, 1.0 / math.sqrt(n - 1), y)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        val = i_ae(p)
+    assert val == pytest.approx(i_ae(CloneParams(n, 0.0, 1.0 / math.sqrt(n - 1), 0.0)), abs=1e-12)
+    assert -1e-12 <= val <= math.log2(n) + 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_i_ae_matches_plug_in_mi_of_born_table(n):
     # Eve's symbol knowledge is the mutual information between Alice's
