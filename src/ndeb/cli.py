@@ -37,7 +37,7 @@ N_CAP = 16
 # Key rows are written in slices of this many, which bounds the text held at once.
 KEY_ROWS_PER_WRITE = 1 << 16
 # ThresholdRecord fields that describe the crossover search itself.
-DIAGNOSTICS = ("root_evals", "residual", "y_at_bound")
+DIAGNOSTICS = ("root_evals", "residual", "y_at_bound", "stationarity")
 
 
 class CliError(ValueError):

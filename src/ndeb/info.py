@@ -12,8 +12,8 @@ m, her best symbol guess is off by d with probability
         = |N * ifft(a[m])[d]|^2 / (N * w_m),    w_m = sum_n |a[m, n]|^2
 
 so her information is log2(N) minus the branch-averaged entropy of
-those conditionals.  ``eve_info`` evaluates this for stacks of rows at
-once; every other eavesdropper quantity here is a call on it.
+those conditionals.  ``eve_info`` evaluates this for stacks of matrices
+at once; every other eavesdropper quantity here is a call on it.
 """
 from __future__ import annotations
 
@@ -73,14 +73,10 @@ def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
     return w, p
 
 
-def eve_info(rows, repeats=1) -> np.ndarray:
-    """log2 N - sum_m repeats_m * w_m * H(p_m) for each (M, N) block of ``rows``.
-
-    ``repeats`` (scalar or length M) counts the rows of the full N x N
-    matrix that each given row stands for, so equal rows go in once.
-    """
+def eve_info(rows) -> np.ndarray:
+    """log2 N - sum_m w_m * H(p_m) for each (M, N) block of ``rows``."""
     w, p = eve_branches(rows)
-    return math.log2(p.shape[-1]) - np.sum(repeats * w * _entropy_bits(p), axis=-1)
+    return math.log2(p.shape[-1]) - np.sum(w * _entropy_bits(p), axis=-1)
 
 
 def eve_conditional(p: CloneParams | AmplitudeMatrix, m: int) -> np.ndarray:

@@ -232,16 +232,14 @@ class SimReport:
         tables = tables.astype(np.int64)
         if tables.sum() != rounds:
             raise ValueError(f"table counts sum to {tables.sum()}, not rounds={rounds}")
-        return SimReport(
-            n=n,
-            rounds=rounds,
-            sifted_fraction=float(d["sifted_fraction"]),
-            qber=float(d["qber"]),
-            qber_stderr=float(d["qber_stderr"]),
-            empirical_i_ab=float(d["empirical_i_ab"]),
-            per_pair_tables=tables,
-            key_symbols=key,
-        )
+        floats = {}
+        for name in ("sifted_fraction", "qber", "qber_stderr", "empirical_i_ab"):
+            value = d[name]
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            floats[name] = float(value)
+        return SimReport(n=n, rounds=rounds, per_pair_tables=tables, key_symbols=key, **floats)
 
 
 def _outcome_cdfs(cfg: ProtocolConfig) -> np.ndarray:

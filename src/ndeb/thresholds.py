@@ -2,9 +2,10 @@
 
 For a fixed fidelity F the symmetric attack family has one free knob,
 the flat amplitude y; the crossover fidelity is the F at which the
-eavesdropper's best information over that knob meets the legitimate
-channel's.  Below the crossover one-way postprocessing cannot distill
-a key, so the crossover is the security border against this attack.
+eavesdropper's best information over y, a root of dI_AE/dy, meets the
+legitimate channel's.  One Brent root-finder solves both levels.  Below
+the crossover one-way postprocessing cannot distill a key, so the
+crossover is the security border against this attack.
 
 The local-realism bound comes the other way: the visibility threshold
 below which the measured correlations admit a local model, converted to
@@ -16,14 +17,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cloner import CloneParams
-from .info import eve_info, i_ab
+from .info import i_ab, i_ae
 from .qudit import check_dim
 
-GRID_POINTS = 129
-ZOOM_TOL = 1e-10
+Y_LO = 1e-6  # dI_AE/dy is 0 at y = 0, so y's bracket starts at Y_LO * y_max
 BRACKET_PAD = 1e-6
 FEAS_TOL = 1e-12
 # Brent stops once the bracket is narrower than ROOT_XTOL + ROOT_RTOL * |F|.
@@ -34,6 +32,7 @@ ROOT_MAX_STEPS = 100
 
 def y_max(n: int, fidelity: float) -> float:
     """Largest flat amplitude compatible with fidelity F at dimension n."""
+    n = check_dim(n)
     cap = min(fidelity / (n - 1), (1.0 - fidelity) / (n - 1) ** 2)
     return math.sqrt(max(cap, 0.0))
 
@@ -53,39 +52,42 @@ def clone_family_at_fidelity(n: int, fidelity: float, y: float) -> CloneParams:
     return CloneParams(n, math.sqrt(max(v2, 0.0)), math.sqrt(max(x2, 0.0)), y)
 
 
-def _eve_info_curve(n: int, fidelity: float, ys: np.ndarray) -> np.ndarray:
-    """Eavesdropper information along the fixed-fidelity family.
+def _eve_slope(n: int, fidelity: float, y: float) -> float:
+    """dI_AE/dy along the fixed-fidelity family at flat amplitude y.
 
-    Its matrix has two distinct rows: (v, y, ..., y) for branch 0 and
-    (x, y, ..., y) for each of the N-1 shifted branches.
+    k rows (c, y, ..., y) of weight w, one with c = v and N-1 with c = x,
+    put P = (c+(N-1)y)^2/(N w) on d = 0 and 1-P = (N-1)(c-y)^2/(N w) evenly
+    on the rest; they add k w dP/dy log2((N-1)P/(1-P)), where
+    w dP/dy = 2(N-1)(c+(N-1)y)(c-y)/(N c).  A zero c, only at y_max, is -inf.
     """
-    ys = np.asarray(ys, dtype=float)
-    rows = np.empty(ys.shape + (2, n))
-    rows[..., 1:] = ys[..., None, None]
-    flat = (n - 1) * ys ** 2
-    rows[..., 0, 0] = np.sqrt(np.clip(fidelity - flat, 0.0, None))
-    rows[..., 1, 0] = np.sqrt(np.clip((1.0 - fidelity) / (n - 1) - flat, 0.0, None))
-    return eve_info(rows, [1, n - 1])
+    p = clone_family_at_fidelity(n, fidelity, y)
+    slope = 0.0
+    for c, k in ((p.v, 1), (p.x, n - 1)):
+        if c == 0.0:
+            return -math.inf
+        top, gap = c + (n - 1) * y, c - y
+        if gap != 0.0:  # (c-y) * log|c-y| -> 0
+            slope += k * top * gap / c * math.log2(abs(top / gap))
+    return 4.0 * (n - 1) / n * slope
 
 
 def max_eve_info(n: int, fidelity: float) -> tuple[CloneParams, float]:
     """Best attack at fixed fidelity: (optimal params, eavesdropper bits).
 
-    A GRID_POINTS grid over y in [lo, hi] = [0, y_max] locates the peak;
-    the grid is then re-laid over the two cells around it until
-    hi - lo <= 1e-10.  Ties go to the smaller y.
+    y is the root of dI_AE/dy on [Y_LO * y_max, y_max] by ``_brent``, with
+    the y_max end counted as -inf; with no sign change there, y = 0.
     """
+    n = check_dim(n)
     if not 1.0 / n <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [1/{n}, 1], got {fidelity}")
-    lo, hi = 0.0, y_max(n, fidelity)
-    while True:
-        ys = np.linspace(lo, hi, GRID_POINTS)
-        vals = _eve_info_curve(n, fidelity, ys)
-        best = int(np.argmax(vals))  # first max = smallest y on ties
-        if hi - lo <= ZOOM_TOL:
-            return clone_family_at_fidelity(n, fidelity, float(ys[best])), float(vals[best])
-        lo = ys[max(best - 1, 0)]
-        hi = ys[min(best + 1, GRID_POINTS - 1)]
+    hi = y_max(n, fidelity)
+
+    def slope(y: float) -> float:
+        return _eve_slope(n, fidelity, y) if y < hi else -math.inf
+
+    y = _brent(slope, Y_LO * hi, hi) if slope(Y_LO * hi) > 0.0 else 0.0
+    params = clone_family_at_fidelity(n, fidelity, y)
+    return params, i_ae(params)
 
 
 def _brent(g, lo: float, hi: float) -> float:
@@ -134,8 +136,7 @@ def visibility_threshold(n: int) -> float:
     N^2 / V = sum_{k=0}^{floor(N/2)-1} (1 - 2k/(N-1)) *
               (1/sin^2(pi(4k+1)/4N) - 1/sin^2(pi(4k+3)/4N))
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    n = check_dim(n)
     total = 0.0
     for k in range(n // 2):
         weight = 1.0 - 2.0 * k / (n - 1)
@@ -165,7 +166,8 @@ class ThresholdRecord:
     nonlocal_sufficient: bool  # f_thr >= f_a - 1e-6
     root_evals: int  # evaluations of g(F) = I_AB - max I_AE by the root-finder
     residual: float  # |I_AB - I_AE| at f_a
-    y_at_bound: bool  # the optimal y sits within ZOOM_TOL of 0 or y_max(n, f_a)
+    y_at_bound: bool  # the optimizer returned y = 0 or y = y_max(n, f_a)
+    stationarity: float  # |dI_AE/dy| at the returned y
 
 
 def crossover_fidelity(n: int) -> ThresholdRecord:
@@ -198,7 +200,8 @@ def crossover_fidelity(n: int) -> ThresholdRecord:
         nonlocal_sufficient=bool(f_thr >= f_a - 1e-6),
         root_evals=len(seen),
         residual=abs(gap),
-        y_at_bound=bool(params.y <= ZOOM_TOL or params.y >= y_max(n, f_a) - ZOOM_TOL),
+        y_at_bound=bool(params.y == 0.0 or params.y >= y_max(n, f_a)),
+        stationarity=abs(_eve_slope(n, f_a, params.y)),
     )
 
 

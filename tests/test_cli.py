@@ -70,10 +70,11 @@ def test_table_json_carries_optimizer_diagnostics(capsys):
     assert rc == 0 and err == ""
     for row in json.loads(out)["payload"]["rows"]:
         assert list(row) == ["n", "f_a", "v", "x", "y", "mutual_info_bits",
-                             "root_evals", "residual", "y_at_bound"]
+                             "root_evals", "residual", "y_at_bound", "stationarity"]
         assert isinstance(row["root_evals"], int) and 2 <= row["root_evals"] <= 20
         assert 0.0 <= row["residual"] <= 1e-12
         assert row["y_at_bound"] is False
+        assert 0.0 <= row["stationarity"] <= 1e-10
     rc, out, err = run_cli(capsys, "report", "--n", "2", "--format", "json")
     assert rc == 0
     assert "root_evals" not in json.loads(out)["payload"]["rows"][0]

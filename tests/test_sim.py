@@ -387,6 +387,25 @@ def test_report_from_dict_rejects_non_int_sizes(field, value, message):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("qber", "0.5"),
+        ("sifted_fraction", math.nan),
+        ("empirical_i_ab", True),
+        ("qber_stderr", math.inf),
+        ("qber", -math.inf),
+        ("sifted_fraction", None),
+    ],
+    ids=["string-qber", "nan-sifted", "bool-info", "inf-stderr", "neg-inf-qber", "null-sifted"],
+)
+def test_report_from_dict_rejects_non_finite_floats(field, value):
+    raw = run_simulation(make_config(rounds=300)).to_dict()
+    raw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        SimReport.from_dict(raw)
+
+
+@pytest.mark.parametrize(
     "attack, row",
     [
         (None, [True, 1, None]),

@@ -6,12 +6,12 @@ from scipy.optimize import brentq
 
 from ndeb import thresholds
 from ndeb.cloner import CloneParams, fidelity_disturbances
-from ndeb.info import i_ab, i_ae
+from ndeb.info import eve_branches, i_ab, i_ae
 from ndeb.thresholds import (
     ROOT_RTOL,
     ThresholdRecord,
     _brent,
-    _eve_info_curve,
+    _eve_slope,
     clone_family_at_fidelity,
     crossover_fidelity,
     fidelity_threshold,
@@ -73,12 +73,37 @@ def test_clone_family_y_zero_has_no_flat_tail():
 # ---------------------------------------------------------------- optimizer
 
 
-@pytest.mark.parametrize("n,fid", [(2, 0.86), (3, 0.7752755323352734), (4, 0.8)])
-def test_eve_info_curve_matches_scalar_path(n, fid):
-    ys = np.linspace(0.0, y_max(n, fid), 17)
-    curve = _eve_info_curve(n, fid, ys)
-    scalar = [i_ae(clone_family_at_fidelity(n, fid, float(y))) for y in ys]
-    np.testing.assert_allclose(curve, scalar, atol=1e-12)
+def _two_row_eve_info(n, fid, ys):
+    """I_AE along the fixed-fidelity family from its two distinct rows.
+
+    Branch 0 is (v, y, ..., y) and counts once; each of the N-1 shifted
+    branches is (x, y, ..., y).
+    """
+    rows = np.empty((ys.size, 2, n))
+    rows[:, :, 1:] = ys[:, None, None]
+    rows[:, 0, 0] = np.sqrt(np.clip(fid - (n - 1) * ys ** 2, 0.0, None))
+    rows[:, 1, 0] = np.sqrt(np.clip((1.0 - fid) / (n - 1) - (n - 1) * ys ** 2, 0.0, None))
+    w, p = eve_branches(rows)
+    entropy = -np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+    return math.log2(n) - (w[:, 0] * entropy[:, 0] + (n - 1) * w[:, 1] * entropy[:, 1])
+
+
+@pytest.mark.parametrize(
+    "n,fid", [(2, 0.86), (3, 0.7752755323352734), (4, 0.8), (7, 0.5), (16, 0.63), (16, 0.95)]
+)
+def test_eve_slope_matches_finite_difference(n, fid):
+    hi = y_max(n, fid)
+    step = 1e-6 * hi
+    for y in hi * np.array([0.05, 0.3, 0.6, 0.9, 0.99]):
+        up = i_ae(clone_family_at_fidelity(n, fid, y + step))
+        down = i_ae(clone_family_at_fidelity(n, fid, y - step))
+        slope = _eve_slope(n, fid, y)
+        assert slope == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6), y
+
+
+def test_eve_slope_edges():
+    assert _eve_slope(3, 0.8, 0.0) == 0.0  # so the y bracket starts above 0
+    assert _eve_slope(3, 1.0, 0.0) == -math.inf  # x = 0, as at y = y_max
 
 
 @pytest.mark.parametrize("n,fid", [(2, 0.9), (3, 0.78), (5, 0.7)])
@@ -96,13 +121,31 @@ def test_max_eve_info_is_consistent(n, fid):
 def test_max_eve_info_beats_dense_grid(n, fid):
     _, val = max_eve_info(n, fid)
     ys = np.linspace(0.0, y_max(n, fid), 20001)
-    assert val >= _eve_info_curve(n, fid, ys).max() - 1e-9
+    assert val >= _two_row_eve_info(n, fid, ys).max() - 1e-9
 
 
 def test_max_eve_info_at_unit_fidelity_is_zero():
     params, val = max_eve_info(3, 1.0)
     assert val == pytest.approx(0.0, abs=1e-9)
     assert params.v == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "fn, n, fid",
+    [
+        (max_eve_info, 1, 1.0),
+        (max_eve_info, 2.0, 0.9),
+        (max_eve_info, True, 0.9),
+        (max_eve_info, "3", 0.9),
+        (y_max, True, 0.9),
+        (y_max, 1, 0.9),
+        (y_max, 3.0, 0.9),
+    ],
+    ids=["eve-dim-1", "eve-float", "eve-bool", "eve-string", "ymax-bool", "ymax-dim-1", "ymax-float"],
+)
+def test_optimizer_rejects_bad_dim(fn, n, fid):
+    with pytest.raises(ValueError, match="qudit dimension"):
+        fn(n, fid)
 
 
 def test_max_eve_info_rejects_out_of_range_fidelity():
@@ -156,6 +199,10 @@ def test_brent_agrees_with_scipy_brentq(f, lo, hi):
 def test_qubit_crossover_hits_closed_form():
     rec = crossover_fidelity(2)
     assert rec.f_a == pytest.approx(0.5 + 1 / math.sqrt(8), abs=1e-9)
+    # the optimal attack there is y = 1/sqrt(8), v = 1/2 + y, x = 1/2 - y
+    assert rec.y == pytest.approx(1 / math.sqrt(8), abs=1e-14)
+    assert rec.v == pytest.approx(0.5 + 1 / math.sqrt(8), abs=1e-14)
+    assert rec.x == pytest.approx(0.5 - 1 / math.sqrt(8), abs=1e-14)
 
 
 # F_A for N = 2..16 from the golden threshold table of the benchmark.
@@ -194,6 +241,7 @@ def test_crossover_diagnostics(all_records):
         assert rec.residual <= 1e-12, rec.n
         assert rec.root_evals <= 20, rec.n
         assert rec.y_at_bound is False, rec.n
+        assert rec.stationarity <= 1e-10, rec.n
 
 
 def test_crossover_makes_few_attack_optimizations(monkeypatch):
@@ -209,6 +257,12 @@ def test_crossover_makes_few_attack_optimizations(monkeypatch):
         rec = crossover_fidelity(n)
         assert len(calls) == rec.root_evals <= 20, n
         assert rec.f_a in calls, n
+
+
+@pytest.mark.parametrize("n", [17, 32, 100, 300, 1000])
+def test_nonlocality_covers_security_beyond_cli_cap(n):
+    rec = crossover_fidelity(n)
+    assert rec.f_thr >= rec.f_a
 
 
 def test_crossover_rejects_dim_one():
@@ -262,6 +316,12 @@ def test_visibility_threshold_decreases_but_stays_above_two_thirds(records):
 def test_visibility_threshold_rejects_dim_one():
     with pytest.raises(ValueError):
         visibility_threshold(1)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3"])
+def test_visibility_threshold_rejects_non_int_dim(bad):
+    with pytest.raises(ValueError, match="qudit dimension"):
+        visibility_threshold(bad)
 
 
 def test_security_report_shape_and_flags(records):
