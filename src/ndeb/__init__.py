@@ -4,28 +4,22 @@ from .qudit import (
     BasisMatrix,
     DensityMatrix,
     StateVector,
-    computational_basis,
     conjugate_basis,
-    cyclic_shift,
     max_entangled,
-    mutual_unbiasedness_defect,
     optimal_angles,
-    partial_trace,
     phi_basis,
 )
-from .bell import BellIndex, OverlapMatrix, bell_overlap, bell_state, overlap_matrix
+from .bell import BellIndex, bell_overlap, bell_state, overlap_matrix
 from .cloner import (
     AmplitudeMatrix,
     ClassPartition,
     CloneParams,
-    build_attack_state,
     fidelity_disturbances,
     invariance_classes,
     joint_distribution,
     params_to_matrix,
     reduced_state_ra,
     werner_noise_fraction,
-    werner_state,
 )
 from .info import entropy, eve_conditional, i_ab, i_ae
 from .thresholds import (
@@ -47,19 +41,15 @@ __all__ = [
     "ClassPartition",
     "CloneParams",
     "DensityMatrix",
-    "OverlapMatrix",
     "ProtocolConfig",
     "SimReport",
     "StateVector",
     "ThresholdRecord",
     "bell_overlap",
     "bell_state",
-    "build_attack_state",
-    "computational_basis",
     "conjugate_basis",
     "conjugate_pairs",
     "crossover_fidelity",
-    "cyclic_shift",
     "empirical_info",
     "entropy",
     "eve_conditional",
@@ -71,16 +61,13 @@ __all__ = [
     "joint_distribution",
     "max_entangled",
     "max_eve_info",
-    "mutual_unbiasedness_defect",
     "optimal_angles",
     "overlap_matrix",
     "params_to_matrix",
-    "partial_trace",
     "phi_basis",
     "reduced_state_ra",
     "run_simulation",
     "security_report",
     "visibility_threshold",
     "werner_noise_fraction",
-    "werner_state",
 ]

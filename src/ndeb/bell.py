@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import ATOL, BasisMatrix, StateVector, check_dim, phi_basis
+from .qudit import BasisMatrix, StateVector, check_dim, finite_real, phi_basis
 
 VARIANTS = ("RA", "BC")
 
@@ -57,31 +57,21 @@ def bell_state(basis: BasisMatrix, idx: BellIndex) -> StateVector:
     return StateVector((n_dim, n_dim), tensor.reshape(-1) / math.sqrt(n_dim))
 
 
-def bell_basis(basis: BasisMatrix, variant: str = "RA") -> np.ndarray:
-    """All N^2 Bell vectors as columns; (m, n) maps to column m*N + n."""
-    n_dim = basis.dim
-    cols = np.empty((n_dim * n_dim, n_dim * n_dim), dtype=complex)
-    for m in range(n_dim):
-        for n in range(n_dim):
-            cols[:, m * n_dim + n] = bell_state(basis, BellIndex(m, n, variant)).amps
-    return cols
+def overlap_matrix(n: int, phi1: float, phi2: float) -> np.ndarray:
+    """S[j, r]: every RA-family overlap between angle phi1 and angle phi2.
 
-
-def _closed_overlap_table(n_dim: int, dphi: float) -> np.ndarray:
-    """S[j, r] = (1/N) sum_p exp(1j*(-p*dphi + q*(dphi + 2*pi*r/N))), q=(p-j)%N.
-
-    The full overlap is then delta_{j,l} * S[j, (k-i) % N]: the phase
-    index is conserved, and within a fixed phase index the value only
-    depends on the shift difference.
+    S[j, r] = (1/N) sum_p exp(1j*(-p*dphi + q*(dphi + 2*pi*r/N))) with
+    q = (p - j) % N and dphi = phi2 - phi1, and the full overlap is
+    <B(phi1, (i, j)) | B(phi2, (k, l))> = delta_{j,l} * S[j, (k-i) % N]:
+    the phase index is conserved, and within a fixed phase index the
+    value only depends on the shift difference.
     """
-    p = np.arange(n_dim)
-    table = np.empty((n_dim, n_dim), dtype=complex)
-    for j in range(n_dim):
-        q = (p - j) % n_dim
-        for r in range(n_dim):
-            theta = 2.0 * math.pi * r / n_dim
-            table[j, r] = np.exp(1j * (-p * dphi + q * (dphi + theta))).sum() / n_dim
-    return table
+    n = check_dim(n)
+    dphi = finite_real("phi2", phi2) - finite_real("phi1", phi1)
+    p = np.arange(n)
+    q = (p - p[:, None]) % n  # q[j, p]
+    theta = 2.0 * math.pi * p[:, None] / n  # theta[r, 0]
+    return np.exp(1j * (-p * dphi + q[:, None, :] * (dphi + theta))).sum(axis=-1) / n
 
 
 def bell_overlap(
@@ -94,10 +84,11 @@ def bell_overlap(
 ) -> complex:
     """<B(phi1, idx1) | B(phi2, idx2)> for same-variant index pairs.
 
-    mode "closed_form" evaluates the conserved-phase-index formula;
+    mode "closed_form" reads one entry of ``overlap_matrix``;
     mode "brute_force" builds both vectors and contracts them.
     """
     n = check_dim(n)
+    phi1, phi2 = finite_real("phi1", phi1), finite_real("phi2", phi2)
     if idx1.variant != idx2.variant:
         raise ValueError("cannot mix RA and BC variants in one overlap")
     idx1, idx2 = idx1.normalized(n), idx2.normalized(n)
@@ -108,52 +99,7 @@ def bell_overlap(
         raise ValueError(f"unknown mode {mode!r}")
     if idx1.n != idx2.n:
         return 0.0 + 0.0j
-    table = _closed_overlap_table(n, phi2 - phi1)
-    value = complex(table[idx1.n, (idx2.m - idx1.m) % n])
+    value = complex(overlap_matrix(n, phi1, phi2)[idx1.n, (idx2.m - idx1.m) % n])
     if idx1.variant == "BC":
         value = value.conjugate()
     return value
-
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Gram matrix between two same-angle-family Bell bases, flat (m,n) order."""
-
-    dim: int
-    phi1: float
-    phi2: float
-    mode: str
-    mat: np.ndarray
-
-    def __post_init__(self):
-        n = check_dim(self.dim)
-        mat = np.array(self.mat, dtype=complex)
-        if mat.shape != (n * n, n * n):
-            raise ValueError(f"overlap matrix must be {n * n}x{n * n}, got {mat.shape}")
-        if not np.allclose(mat.conj().T @ mat, np.eye(n * n), atol=ATOL):
-            raise ValueError("overlap matrix is not unitary within 1e-12")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-    def entry(self, i: int, j: int, k: int, l: int) -> complex:
-        n = self.dim
-        return complex(self.mat[(i % n) * n + (j % n), (k % n) * n + (l % n)])
-
-
-def overlap_matrix(n: int, phi1: float, phi2: float, mode: str = "closed_form") -> OverlapMatrix:
-    """All RA-variant overlaps between angle phi1 (rows) and phi2 (columns)."""
-    n = check_dim(n)
-    if mode == "closed_form":
-        table = _closed_overlap_table(n, phi2 - phi1)
-        mat = np.zeros((n * n, n * n), dtype=complex)
-        for j in range(n):
-            for i in range(n):
-                for k in range(n):
-                    mat[i * n + j, k * n + j] = table[j, (k - i) % n]
-    elif mode == "brute_force":
-        b1 = bell_basis(phi_basis(n, phi1))
-        b2 = bell_basis(phi_basis(n, phi2))
-        mat = b1.conj().T @ b2
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return OverlapMatrix(n, phi1, phi2, mode, mat)

@@ -23,21 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bell import BellIndex, bell_state, overlap_matrix
+from .bell import overlap_matrix
 from .qudit import (
     ATOL,
     BasisMatrix,
     DensityMatrix,
-    StateVector,
     check_dim,
     conjugate_basis,
+    finite_real,
     max_entangled,
     optimal_angles,
-    partial_trace,
     phi_basis,
 )
 
@@ -118,23 +117,6 @@ def _coerce_matrix(p: CloneParams | AmplitudeMatrix) -> np.ndarray:
     raise TypeError(f"expected CloneParams or AmplitudeMatrix, got {type(p)!r}")
 
 
-def build_attack_state(basis: BasisMatrix, amps: AmplitudeMatrix | CloneParams) -> StateVector:
-    """Four-slot attack state sum_{m,n} a[m,n] B_RA(m,n) (x) B_BC(m,n)."""
-    a = _coerce_matrix(amps)
-    n = basis.dim
-    if a.shape[0] != n:
-        raise ValueError(f"amplitude matrix is {a.shape[0]}x..., basis dim is {n}")
-    out = np.zeros(n ** 4, dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            if a[m, nn] == 0:
-                continue
-            ra = bell_state(basis, BellIndex(m, nn, "RA")).amps
-            bc = bell_state(basis, BellIndex(m, nn, "BC")).amps
-            out += a[m, nn] * np.kron(ra, bc)
-    return StateVector((n, n, n, n), out)
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     """Disjoint cover of the N x N index grid by invariance classes."""
@@ -163,46 +145,32 @@ class ClassPartition:
         return out
 
 
-def invariance_classes(n: int, phis: Sequence[float], tol: float = CLASS_TOL) -> ClassPartition:
+def invariance_classes(n: int, phis: Sequence[float]) -> ClassPartition:
     """Partition of amplitude indices forced equal by basis independence.
 
-    Indices (i, j) and (k, l) land in one class whenever the Bell-family
-    overlap between angles in ``phis`` connects them with modulus above
-    ``tol``: equality of the four-slot states built in two bases requires
-    a[i, j] == a[k, l] for every such connected pair.  For a pair of
-    angles whose difference is not a multiple of 2*pi/n the result is
+    Equality of the four-slot states built at two angles requires
+    a[i, j] == a[k, j] whenever their overlap S[j, (k-i) % n] (see
+    ``bell.overlap_matrix``) has modulus above CLASS_TOL; overlaps across
+    phase indices vanish.  So column j splits into the cosets of the
+    shifts r linked this way at any pair of angles in ``phis``: the
+    g = gcd(n, every such r) classes {(m, j) : m = c mod g}.  For a pair
+    of angles whose difference is not a multiple of 2*pi/n the result is
     2n - 1 classes: each column-0 cell is its own class and every other
     column is one class.
     """
     n = check_dim(n)
-    phis = [float(p) for p in phis]
+    phis = [finite_real(f"phis[{i}]", phi) for i, phi in enumerate(phis)]
     if len(phis) < 2:
         raise ValueError("need at least two angles to constrain the amplitudes")
-    parent = list(range(n * n))
-
-    def find(z: int) -> int:
-        while parent[z] != z:
-            parent[z] = parent[parent[z]]
-            z = parent[z]
-        return z
-
-    def union(z: int, w: int) -> None:
-        rz, rw = find(z), find(w)
-        if rz != rw:
-            parent[rw] = rz
-
+    linked = np.zeros((n, n), dtype=bool)  # linked[j, r]
     for ai in range(len(phis)):
         for bi in range(ai + 1, len(phis)):
-            gram = overlap_matrix(n, phis[ai], phis[bi]).mat
-            hits = np.argwhere(np.abs(gram) > tol)
-            for row, col in hits:
-                union(int(row), int(col))
-    groups: dict[int, set[tuple[int, int]]] = {}
-    for m in range(n):
-        for nn in range(n):
-            groups.setdefault(find(m * n + nn), set()).add((m, nn))
-    classes = tuple(frozenset(g) for g in groups.values())
-    return ClassPartition(n, classes)
+            linked |= np.abs(overlap_matrix(n, phis[ai], phis[bi])) > CLASS_TOL
+    classes = []
+    for j in range(n):
+        g = math.gcd(n, *np.flatnonzero(linked[j]).tolist())
+        classes += [frozenset((m, j) for m in range(c, n, g)) for c in range(g)]
+    return ClassPartition(n, tuple(classes))
 
 
 def fidelity_disturbances(p: CloneParams | AmplitudeMatrix) -> tuple[float, np.ndarray]:
@@ -221,32 +189,15 @@ def werner_noise_fraction(p: CloneParams) -> float:
     return 1.0 - (p.v * p.v - p.x * p.x)
 
 
-def werner_state(n: int, noise_fraction: float) -> DensityMatrix:
-    """(1 - f) |phi+><phi+| + f * I / N^2 on two slots."""
-    n = check_dim(n)
-    if not 0.0 <= noise_fraction <= 1.0 + 1e-12:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {noise_fraction}")
-    phi = max_entangled(n).amps
-    rho = (1.0 - noise_fraction) * np.outer(phi, phi.conj())
-    rho += noise_fraction * np.eye(n * n) / (n * n)
-    return DensityMatrix((n, n), rho)
-
-
-def reduced_state_ra(p: CloneParams, mode: str = "closed_form") -> DensityMatrix:
+def reduced_state_ra(p: CloneParams) -> DensityMatrix:
     """State of the (reference, clone_a) pair after the attack.
 
-    closed_form:
         (v^2 - x^2) |phi+><phi+| + (x^2 - y^2) sum_k |kk><kk| + y^2 I
+
     which is what the Bell-diagonal mixture collapses to for the
-    symmetric family.  partial_trace builds the four-slot state in the
-    first protocol basis and traces out the eavesdropper's slots.
+    symmetric family.
     """
     n = p.dim
-    if mode == "partial_trace":
-        psi = build_attack_state(phi_basis(n, 0.0), p)
-        return partial_trace(psi.density(), keep=(0, 1))
-    if mode != "closed_form":
-        raise ValueError(f"unknown mode {mode!r}")
     v2, x2, y2 = p.v ** 2, p.x ** 2, p.y ** 2
     phi = max_entangled(n).amps
     rho = (v2 - x2) * np.outer(phi, phi.conj())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -31,6 +31,14 @@ def strict_int(name: str, value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an int, got {value!r}")
     return int(value)
+
+
+def finite_real(name: str, value: Any) -> float:
+    """``value`` as a finite float; bools, strings, nan and inf are rejected."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not real or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def check_dim(n: int) -> int:
@@ -74,20 +82,6 @@ class StateVector:
         if self.dims != other.dims:
             raise ValueError(f"slot mismatch: {self.dims} vs {other.dims}")
         return complex(np.vdot(self.amps, other.amps))
-
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.dims + other.dims, np.kron(self.amps, other.amps))
-
-    def as_tensor(self) -> np.ndarray:
-        return self.amps.reshape(self.dims)
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.dims, np.outer(self.amps, self.amps.conj()))
-
-
-def states_equal_up_to_phase(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
-    """True when |<a|b>| = 1 within atol (both states assumed normalized)."""
-    return abs(abs(a.inner(b)) - 1.0) <= atol
 
 
 @dataclass(frozen=True)
@@ -144,10 +138,6 @@ def phi_basis(n: int, phase: float) -> BasisMatrix:
     return BasisMatrix(n, u, label=f"phi={phase:.10g}")
 
 
-def computational_basis(n: int) -> BasisMatrix:
-    return BasisMatrix(check_dim(n), np.eye(n, dtype=complex), label="comp")
-
-
 def conjugate_basis(b: BasisMatrix) -> BasisMatrix:
     """Entrywise complex conjugate of ``b`` (columns keep their labels)."""
     return BasisMatrix(b.dim, b.u.conj(), label=f"conj({b.label})")
@@ -169,64 +159,3 @@ def max_entangled(n: int) -> StateVector:
     n = check_dim(n)
     amps = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
     return StateVector((n, n), amps)
-
-
-def mutual_unbiasedness_defect(a: BasisMatrix, b: BasisMatrix) -> float:
-    """max_{i,j} | |<a_i|b_j>|^2 - 1/n |, zero iff the pair is unbiased."""
-    if a.dim != b.dim:
-        raise ValueError("bases act on different dimensions")
-    overlaps = np.abs(a.u.conj().T @ b.u) ** 2
-    return float(np.max(np.abs(overlaps - 1.0 / a.dim)))
-
-
-def cyclic_shift(n: int) -> np.ndarray:
-    """One-slot operator advancing every phase-gradient basis label by one.
-
-    In the computational basis this is diag(w^j) with w = exp(2j*pi/n);
-    it sends column l of phi_basis(n, phase) to column l+1 mod n for
-    every value of phase, and n applications give the identity.
-    """
-    n = check_dim(n)
-    return np.diag(np.exp(2j * math.pi * np.arange(n) / n))
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out all slots not listed in ``keep`` (kept slots stay in order)."""
-    k = len(rho.dims)
-    keep = sorted(int(s) for s in keep)
-    if len(set(keep)) != len(keep) or any(s < 0 or s >= k for s in keep):
-        raise ValueError(f"keep={keep!r} is not a valid subset of slots 0..{k - 1}")
-    if not keep:
-        raise ValueError("cannot trace out every slot")
-    letters = "abcdefghijklmnop"
-    row = list(letters[:k])
-    col = list(letters[k:2 * k])
-    for s in range(k):
-        if s not in keep:
-            col[s] = row[s]
-    out = "".join(row[s] for s in keep) + "".join(col[s] for s in keep)
-    spec = "".join(row) + "".join(col) + "->" + out
-    tensor = rho.entries.reshape(rho.dims + rho.dims)
-    kept_dims = tuple(rho.dims[s] for s in keep)
-    size = math.prod(kept_dims)
-    reduced = np.einsum(spec, tensor).reshape(size, size)
-    return DensityMatrix(kept_dims, reduced)
-
-
-def basis_relabeling(a: BasisMatrix, b: BasisMatrix, atol: float = 1e-10) -> list[int] | None:
-    """Column permutation p with a.column(k) equal to b.column(p[k]) up to phase.
-
-    Returns None when the two bases are not the same set of rays.
-    """
-    if a.dim != b.dim:
-        return None
-    overlaps = np.abs(b.u.conj().T @ a.u)  # overlaps[p, k] = |<b_p|a_k>|
-    perm = []
-    for k in range(a.dim):
-        hits = np.nonzero(overlaps[:, k] > 1.0 - atol)[0]
-        if hits.size != 1:
-            return None
-        perm.append(int(hits[0]))
-    if len(set(perm)) != a.dim:
-        return None
-    return perm

@@ -24,22 +24,14 @@ from typing import Any
 
 import numpy as np
 
-from .cloner import PARTNER, CloneParams, joint_distribution
-from .qudit import (
-    basis_relabeling,
-    check_dim,
-    conjugate_basis,
-    optimal_angles,
-    phi_basis,
-    strict_int,
-)
+from .cloner import CloneParams, joint_distribution
+from .qudit import check_dim, finite_real, strict_int
 
 WEIGHT_ATOL = 1e-9
 
 _PAIRS = frozenset({(0, 0), (2, 2), (1, 3), (3, 1)})
 # _SIFTED[4*a + b] is True when the basis pair (a, b) is kept at sifting.
 _SIFTED = np.array([(p // 4, p % 4) in _PAIRS for p in range(16)])
-_verified_dims: set[int] = set()
 
 
 def conjugate_pairs() -> frozenset[tuple[int, int]]:
@@ -52,25 +44,6 @@ def conjugate_pairs() -> frozenset[tuple[int, int]]:
     are conjugates of each other.
     """
     return _PAIRS
-
-
-def _verify_pairing(n: int) -> None:
-    """Re-derive the sifted-pair set for dimension n; raise on mismatch."""
-    if n in _verified_dims:
-        return
-    angles = optimal_angles(n)
-    for i in range(4):
-        conj_i = conjugate_basis(phi_basis(n, angles[i]))
-        if basis_relabeling(conj_i, phi_basis(n, angles[PARTNER[i]])) is None:
-            raise AssertionError(f"conjugation partner of basis {i} is not {PARTNER[i]}")
-    tables = joint_distribution(CloneParams.identity(n))
-    derived = {
-        (a, b) for a in range(4) for b in range(4)
-        if np.allclose(tables[a, b], np.eye(n) / n, atol=1e-10)
-    }
-    if derived != set(_PAIRS):
-        raise AssertionError(f"derived sifted pairs {derived} differ from {set(_PAIRS)}")
-    _verified_dims.add(n)
 
 
 def key_columns(flat: np.ndarray, n: int, attacked: bool) -> np.ndarray:
@@ -232,13 +205,8 @@ class SimReport:
         tables = tables.astype(np.int64)
         if tables.sum() != rounds:
             raise ValueError(f"table counts sum to {tables.sum()}, not rounds={rounds}")
-        floats = {}
-        for name in ("sifted_fraction", "qber", "qber_stderr", "empirical_i_ab"):
-            value = d[name]
-            real = isinstance(value, (int, float, np.integer, np.floating))
-            if isinstance(value, bool) or not real or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            floats[name] = float(value)
+        floats = {name: finite_real(name, d[name])
+                  for name in ("sifted_fraction", "qber", "qber_stderr", "empirical_i_ab")}
         return SimReport(n=n, rounds=rounds, per_pair_tables=tables, key_symbols=key, **floats)
 
 
@@ -278,7 +246,6 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
     shards = strict_int("shards", shards)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    _verify_pairing(cfg.n)
     n, rounds = cfg.n, cfg.rounds
     cdfs = _outcome_cdfs(cfg)
 

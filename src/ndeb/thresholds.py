@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .cloner import CloneParams
 from .info import i_ab, i_ae
-from .qudit import check_dim
+from .qudit import check_dim, finite_real
 
 Y_LO = 1e-6  # dI_AE/dy is 0 at y = 0, so y's bracket starts at Y_LO * y_max
 BRACKET_PAD = 1e-6
@@ -32,7 +32,7 @@ ROOT_MAX_STEPS = 100
 
 def y_max(n: int, fidelity: float) -> float:
     """Largest flat amplitude compatible with fidelity F at dimension n."""
-    n = check_dim(n)
+    n, fidelity = check_dim(n), finite_real("fidelity", fidelity)
     cap = min(fidelity / (n - 1), (1.0 - fidelity) / (n - 1) ** 2)
     return math.sqrt(max(cap, 0.0))
 
@@ -43,6 +43,11 @@ def clone_family_at_fidelity(n: int, fidelity: float, y: float) -> CloneParams:
     Solves v^2 = F - (N-1) y^2 and x^2 = (1-F)/(N-1) - (N-1) y^2 and
     clamps roundoff-negative squares (never below -1e-12) to zero.
     """
+    return _family(check_dim(n), finite_real("fidelity", fidelity), y)
+
+
+def _family(n: int, fidelity: float, y: float) -> CloneParams:
+    """``clone_family_at_fidelity`` on checked arguments, for the optimizer's inner loop."""
     v2 = fidelity - (n - 1) * y * y
     x2 = (1.0 - fidelity) / (n - 1) - (n - 1) * y * y
     if v2 < -FEAS_TOL or x2 < -FEAS_TOL:
@@ -60,7 +65,7 @@ def _eve_slope(n: int, fidelity: float, y: float) -> float:
     on the rest; they add k w dP/dy log2((N-1)P/(1-P)), where
     w dP/dy = 2(N-1)(c+(N-1)y)(c-y)/(N c).  A zero c, only at y_max, is -inf.
     """
-    p = clone_family_at_fidelity(n, fidelity, y)
+    p = _family(n, fidelity, y)
     slope = 0.0
     for c, k in ((p.v, 1), (p.x, n - 1)):
         if c == 0.0:
@@ -77,7 +82,7 @@ def max_eve_info(n: int, fidelity: float) -> tuple[CloneParams, float]:
     y is the root of dI_AE/dy on [Y_LO * y_max, y_max] by ``_brent``, with
     the y_max end counted as -inf; with no sign change there, y = 0.
     """
-    n = check_dim(n)
+    n, fidelity = check_dim(n), finite_real("fidelity", fidelity)
     if not 1.0 / n <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [1/{n}, 1], got {fidelity}")
     hi = y_max(n, fidelity)
@@ -182,7 +187,7 @@ def crossover_fidelity(n: int) -> ThresholdRecord:
 
     def g(fid: float) -> float:
         params, eve = max_eve_info(n, fid)
-        seen[fid] = params, i_ab(clone_family_at_fidelity(n, fid, 0.0)) - eve
+        seen[fid] = params, i_ab(_family(n, fid, 0.0)) - eve
         return seen[fid][1]
 
     f_a = _brent(g, 1.0 / n + BRACKET_PAD, 1.0 - BRACKET_PAD)

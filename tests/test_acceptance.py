@@ -17,13 +17,11 @@ from ndeb.cloner import (
     CloneParams,
     alice_measurement_basis,
     bob_measurement_basis,
-    build_attack_state,
     invariance_classes,
     joint_distribution,
     params_to_matrix,
     reduced_state_ra,
     werner_noise_fraction,
-    werner_state,
 )
 from ndeb.info import eve_conditional, i_ab, i_ae
 from ndeb.qudit import optimal_angles, phi_basis
@@ -31,6 +29,13 @@ from ndeb.sim import ProtocolConfig, run_simulation
 from ndeb.thresholds import max_eve_info, security_report, y_max
 
 import born_oracle
+from state_tools import (
+    brute_force_gram,
+    build_attack_state,
+    expand_overlap_table,
+    traced_reduced_state,
+    werner_state,
+)
 
 # six-digit reference values for the crossover fidelity, dimensions 2..10
 EXPECTED_CROSSOVER = {
@@ -125,8 +130,8 @@ def test_criterion_05_overlap_dual_route():
                 tuple(rng.uniform(-3, 3, size=2)),
             ]
             for phi1, phi2 in pairs:
-                closed = overlap_matrix(n, phi1, phi2, mode="closed_form").mat
-                brute = overlap_matrix(n, phi1, phi2, mode="brute_force").mat
+                closed = expand_overlap_table(overlap_matrix(n, phi1, phi2))
+                brute = brute_force_gram(n, phi1, phi2)
                 assert np.max(np.abs(closed - brute)) < 1e-12, (n, phi1, phi2)
                 for _ in range(3):
                     i, j, k, l = rng.integers(0, n, size=4)
@@ -178,8 +183,8 @@ def test_criterion_07_reduced_state_and_isotropic_disguise():
         for n in (2, 3, 4):
             for _ in range(20):
                 p = CloneParams(n, *born_oracle.random_clone_params(n, rng))
-                closed = reduced_state_ra(p, mode="closed_form").entries
-                traced = reduced_state_ra(p, mode="partial_trace").entries
+                closed = reduced_state_ra(p).entries
+                traced = traced_reduced_state(p).entries
                 assert np.max(np.abs(closed - traced)) < 1e-12, n
         for n in (2, 3):
             for _ in range(3):

@@ -5,14 +5,14 @@ import pytest
 
 from ndeb.bell import (
     BellIndex,
-    bell_basis,
     bell_overlap,
     bell_state,
     overlap_matrix,
 )
-from ndeb.qudit import cyclic_shift, max_entangled, optimal_angles, phi_basis
+from ndeb.qudit import max_entangled, optimal_angles, phi_basis
 
 import born_oracle
+from state_tools import bell_basis, brute_force_gram, cyclic_shift, expand_overlap_table
 
 RNG = np.random.default_rng(77001)
 
@@ -133,8 +133,8 @@ def test_overlap_phase_index_is_conserved():
 
 
 def test_overlap_same_angle_is_kronecker_delta():
-    om = overlap_matrix(4, 0.7, 0.7)
-    np.testing.assert_allclose(om.mat, np.eye(16), atol=1e-12)
+    table = overlap_matrix(4, 0.7, 0.7)
+    np.testing.assert_allclose(expand_overlap_table(table), np.eye(16), atol=1e-12)
 
 
 def test_overlap_mixed_variants_raise():
@@ -191,12 +191,38 @@ def test_n3_aligned_angle_difference_moduli_are_zero_or_one():
 # ------------------------------------------------------------ overlap matrix
 
 
+def loop_overlap_table(n, dphi):
+    """S[j, r] by the defining sum, one entry at a time."""
+    p = np.arange(n)
+    table = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        q = (p - j) % n
+        for r in range(n):
+            theta = 2.0 * math.pi * r / n
+            table[j, r] = np.exp(1j * (-p * dphi + q * (dphi + theta))).sum() / n
+    return table
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_overlap_matrix_equals_loop_formula_bitwise(n):
+    # bit-equality keeps `ndeb overlap` and `ndeb classes` output bytes stable
+    rng = np.random.default_rng(7300 + n)
+    diffs = [0.0, math.pi / (2 * n), 2 * math.pi / n, 0.7123, *rng.uniform(-4.0, 4.0, 2)]
+    for phi1 in (0.0, -0.35):
+        for dphi in diffs:
+            table = overlap_matrix(n, phi1, phi1 + dphi)
+            assert table.shape == (n, n)
+            np.testing.assert_array_equal(table, loop_overlap_table(n, phi1 + dphi - phi1))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_overlap_matrix_is_unitary(n):
     rng = np.random.default_rng(8100 + n)
     phi1, phi2 = rng.uniform(-3.0, 3.0, size=2)
-    om = overlap_matrix(n, phi1, phi2)  # constructor enforces unitarity
-    assert om.mat.shape == (n * n, n * n)
+    table = overlap_matrix(n, phi1, phi2)
+    assert table.shape == (n, n)
+    gram = expand_overlap_table(table)
+    np.testing.assert_allclose(gram.conj().T @ gram, np.eye(n * n), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -204,36 +230,43 @@ def test_overlap_matrix_modes_agree(n):
     rng = np.random.default_rng(9100 + n)
     for _ in range(2):
         phi1, phi2 = rng.uniform(-2.0, 2.0, size=2)
-        closed = overlap_matrix(n, phi1, phi2, mode="closed_form").mat
-        brute = overlap_matrix(n, phi1, phi2, mode="brute_force").mat
+        closed = expand_overlap_table(overlap_matrix(n, phi1, phi2))
+        brute = brute_force_gram(n, phi1, phi2)
         np.testing.assert_allclose(closed, brute, atol=1e-12)
 
 
 def test_overlap_matrix_entry_matches_scalar_function():
     n, phi1, phi2 = 3, 0.11, 0.83
-    om = overlap_matrix(n, phi1, phi2)
+    gram = expand_overlap_table(overlap_matrix(n, phi1, phi2))
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
                     direct = bell_overlap(n, phi1, phi2, BellIndex(i, j), BellIndex(k, l))
-                    assert abs(om.entry(i, j, k, l) - direct) < 1e-13
+                    assert abs(gram[i * n + j, k * n + l] - direct) < 1e-13
 
 
 def test_overlap_matrix_zero_phase_block_is_diagonal():
-    # within phase index 0 the family realigns column-wise only at shift
-    # difference 0 when dphi is generic -- but every entry stays within
-    # the same phase index regardless.
+    # the brute-force Gram matrix never links different phase indices,
+    # which is what lets the compact table drop them
     n = 4
-    om = overlap_matrix(n, 0.0, 0.613)
+    gram = brute_force_gram(n, 0.0, 0.613)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
                     if j != l:
-                        assert om.entry(i, j, k, l) == 0.0 + 0.0j
+                        assert abs(gram[i * n + j, k * n + l]) < 1e-12
 
 
-def test_overlap_matrix_unknown_mode_raises():
-    with pytest.raises(ValueError):
-        overlap_matrix(2, 0.0, 0.1, mode="magic")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_overlaps_reject_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="phi1 must be a finite number"):
+        overlap_matrix(3, bad, 0.0)
+    with pytest.raises(ValueError, match="phi2 must be a finite number"):
+        overlap_matrix(3, 0.0, bad)
+    for mode in ("closed_form", "brute_force"):
+        with pytest.raises(ValueError, match="phi1 must be a finite number"):
+            bell_overlap(3, bad, 0.0, BellIndex(0, 1), BellIndex(1, 1), mode=mode)
+        with pytest.raises(ValueError, match="phi2 must be a finite number"):
+            bell_overlap(3, 0.0, bad, BellIndex(0, 1), BellIndex(1, 1), mode=mode)

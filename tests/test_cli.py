@@ -161,6 +161,13 @@ def test_classes_rejects_bad_index(capsys):
     assert "--phi-index" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_classes_rejects_non_finite_angle(capsys, bad):
+    rc, out, err = run_cli(capsys, "classes", "--n", "3", f"--phi={bad}", "--phi", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: phis[0] must be a finite number")
+
+
 # ---------------------------------------------------------------- overlap
 
 
@@ -220,6 +227,18 @@ def test_overlap_rejects_bad_angle_index(capsys):
     )
     assert rc == 2
     assert "--phi1-index" in err
+
+
+@pytest.mark.parametrize("flag", ["--phi1", "--phi2"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_overlap_rejects_non_finite_angle(capsys, flag, bad):
+    angles = {"--phi1": "0.2", "--phi2": "0.9", flag: bad}
+    rc, out, err = run_cli(
+        capsys, "overlap", "--n", "3", *[a for kv in angles.items() for a in kv],
+        "--idx", "0,1,1,1",
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {flag[2:]} must be a finite number")
 
 
 # ---------------------------------------------------------------- simulate

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndeb.cloner import (
     PARTNER,
@@ -10,23 +13,24 @@ from ndeb.cloner import (
     CloneParams,
     alice_measurement_basis,
     bob_measurement_basis,
-    build_attack_state,
     fidelity_disturbances,
     invariance_classes,
     joint_distribution,
     params_to_matrix,
     reduced_state_ra,
     werner_noise_fraction,
-    werner_state,
 )
-from ndeb.qudit import (
-    basis_relabeling,
-    max_entangled,
-    optimal_angles,
-    phi_basis,
-)
+from ndeb.qudit import max_entangled, optimal_angles, phi_basis
 
 import born_oracle
+from state_tools import (
+    basis_relabeling,
+    build_attack_state,
+    tensor,
+    traced_reduced_state,
+    union_find_classes,
+    werner_state,
+)
 
 RNG = np.random.default_rng(550211)
 
@@ -118,7 +122,7 @@ def test_identity_attack_state_is_double_pair():
     n = 3
     psi = build_attack_state(phi_basis(n, 0.0), CloneParams.identity(n))
     pair = max_entangled(n)
-    np.testing.assert_allclose(psi.amps, pair.tensor(pair).amps, atol=1e-13)
+    np.testing.assert_allclose(psi.amps, tensor(pair, pair).amps, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -218,6 +222,44 @@ def test_invariance_classes_need_two_angles():
         invariance_classes(3, [0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_invariance_classes_reject_non_finite_angles(bad):
+    with pytest.raises(ValueError, match=r"phis\[1\] must be a finite number"):
+        invariance_classes(3, [0.0, bad])
+    with pytest.raises(ValueError, match=r"phis\[0\] must be a finite number"):
+        invariance_classes(3, [bad, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_invariance_classes_match_union_find_on_optimal_angle_subsets(n):
+    angles = [float(a) for a in optimal_angles(n)]
+    for size in (2, 3, 4):
+        for subset in itertools.combinations(angles, size):
+            got = invariance_classes(n, subset).sorted_classes()
+            assert got == union_find_classes(n, subset).sorted_classes(), subset
+
+
+@st.composite
+def angle_lists(draw):
+    """n 2..16 and 2..4 angles: free ones, repeats, and shifts by multiples of 2*pi/n."""
+    n = draw(st.integers(2, 16))
+    base = draw(st.floats(-math.pi, math.pi))
+    free = st.floats(-2 * math.pi, 2 * math.pi)
+    period = st.integers(-n, n).map(lambda k: base + 2 * math.pi * k / n)
+    optimal = st.sampled_from([float(a) for a in optimal_angles(n)])
+    angles = draw(st.lists(st.one_of(free, period, optimal, st.just(base)), min_size=1,
+                           max_size=3))
+    return n, [base, *angles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle_lists())
+def test_property_invariance_classes_match_union_find(case):
+    n, phis = case
+    got = invariance_classes(n, phis).sorted_classes()
+    assert got == union_find_classes(n, phis).sorted_classes()
+
+
 def test_class_partition_rejects_overlap_and_gaps():
     grid = {(m, nn) for m in range(2) for nn in range(2)}
     with pytest.raises(ValueError):
@@ -272,8 +314,8 @@ def test_branch_weights_match_born_marginal(n):
 def test_reduced_state_modes_agree(n):
     for _ in range(4):
         p = CloneParams(n, *born_oracle.random_clone_params(n, RNG))
-        closed = reduced_state_ra(p, mode="closed_form").entries
-        traced = reduced_state_ra(p, mode="partial_trace").entries
+        closed = reduced_state_ra(p).entries
+        traced = traced_reduced_state(p).entries
         np.testing.assert_allclose(closed, traced, atol=1e-12)
 
 
@@ -282,11 +324,6 @@ def test_reduced_state_identity_attack_is_pure_pair():
     rho = reduced_state_ra(CloneParams.identity(n)).entries
     phi = max_entangled(n).amps
     np.testing.assert_allclose(rho, np.outer(phi, phi.conj()), atol=1e-13)
-
-
-def test_reduced_state_unknown_mode_raises():
-    with pytest.raises(ValueError):
-        reduced_state_ra(CloneParams.identity(2), mode="magic")
 
 
 def test_werner_noise_fraction_extremes():

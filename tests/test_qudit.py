@@ -7,20 +7,26 @@ from ndeb.qudit import (
     BasisMatrix,
     DensityMatrix,
     StateVector,
-    basis_relabeling,
     check_dim,
-    computational_basis,
     conjugate_basis,
-    cyclic_shift,
+    finite_real,
     max_entangled,
-    mutual_unbiasedness_defect,
     optimal_angles,
-    partial_trace,
     phi_basis,
-    states_equal_up_to_phase,
 )
 
 import born_oracle
+from state_tools import (
+    as_tensor,
+    basis_relabeling,
+    computational_basis,
+    cyclic_shift,
+    density,
+    mutual_unbiasedness_defect,
+    partial_trace,
+    states_equal_up_to_phase,
+    tensor,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -61,6 +67,18 @@ def test_check_dim_rejects_non_ints(bad):
         phi_basis(bad, 0.1)
 
 
+@pytest.mark.parametrize("good", [0, 0.5, -3.25, np.float64(0.1), np.int64(2)])
+def test_finite_real_passes_numbers_as_float(good):
+    got = finite_real("x", good)
+    assert type(got) is float and got == float(good)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.nan, True, "0.5", None, 1j])
+def test_finite_real_rejects_non_finite_and_non_real(bad):
+    with pytest.raises(ValueError, match="angle must be a finite number"):
+        finite_real("angle", bad)
+
+
 # ---------------------------------------------------------------- StateVector
 
 
@@ -85,7 +103,7 @@ def test_state_vector_amps_read_only():
 def test_state_vector_tensor_and_norm():
     a = random_state((2,), RNG)
     b = random_state((3,), RNG)
-    ab = a.tensor(b)
+    ab = tensor(a, b)
     assert ab.dims == (2, 3)
     assert ab.is_normalized()
     np.testing.assert_allclose(ab.amps, np.kron(a.amps, b.amps), atol=1e-14)
@@ -137,7 +155,7 @@ def test_density_matrix_rejects_negative_eigenvalue():
 
 
 def test_density_matrix_accepts_pure_state():
-    rho = random_state((2, 3), RNG).density()
+    rho = density(random_state((2, 3), RNG))
     assert rho.dims == (2, 3)
     assert abs(np.trace(rho.entries) - 1.0) < 1e-12
 
@@ -250,7 +268,7 @@ def test_max_entangled_basis_covariance(n):
 def test_max_entangled_perfect_correlations(n, basis_index):
     # Measuring (conj(b), b) on the pair gives the uniform matched diagonal.
     b = phi_basis(n, optimal_angles(n)[basis_index])
-    psi = max_entangled(n).as_tensor()
+    psi = as_tensor(max_entangled(n))
     # <k_conj(b), l_b | psi> = sum_ab conj(conj(u)[a,k]) * conj(u[b,l]) * psi[ab]
     amp = np.einsum("ab,ak,bl->kl", psi, b.u, b.u.conj())
     probs = np.abs(amp) ** 2
@@ -311,7 +329,7 @@ def test_cyclic_shift_n2_is_pauli_z():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_partial_trace_of_max_entangled_is_uniform(n):
-    rho = max_entangled(n).density()
+    rho = density(max_entangled(n))
     for keep in ((0,), (1,)):
         red = partial_trace(rho, keep)
         np.testing.assert_allclose(red.entries, np.eye(n) / n, atol=1e-13)
@@ -320,12 +338,12 @@ def test_partial_trace_of_max_entangled_is_uniform(n):
 def test_partial_trace_of_product_state():
     a = random_state((3,), RNG)
     b = random_state((2,), RNG)
-    red = partial_trace(a.tensor(b).density(), keep=(0,))
+    red = partial_trace(density(tensor(a, b)), keep=(0,))
     np.testing.assert_allclose(red.entries, np.outer(a.amps, a.amps.conj()), atol=1e-13)
 
 
 def test_partial_trace_keep_all_is_identity_map():
-    rho = random_state((2, 3), RNG).density()
+    rho = density(random_state((2, 3), RNG))
     red = partial_trace(rho, keep=(0, 1))
     np.testing.assert_allclose(red.entries, rho.entries, atol=1e-14)
 
@@ -333,9 +351,9 @@ def test_partial_trace_keep_all_is_identity_map():
 def test_partial_trace_against_loop_oracle():
     # three slots of dimension 2; keep the middle one
     psi = random_state((2, 2, 2), RNG)
-    rho = psi.density()
+    rho = density(psi)
     got = partial_trace(rho, keep=(1,)).entries
-    t = psi.as_tensor()
+    t = as_tensor(psi)
     expected = np.zeros((2, 2), dtype=complex)
     for a in range(2):
         for c in range(2):
@@ -347,6 +365,6 @@ def test_partial_trace_against_loop_oracle():
 
 @pytest.mark.parametrize("keep", [(), (0, 0), (2,), (-1,)])
 def test_partial_trace_rejects_bad_keep(keep):
-    rho = max_entangled(2).density()
+    rho = density(max_entangled(2))
     with pytest.raises(ValueError):
         partial_trace(rho, keep)

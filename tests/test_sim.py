@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from ndeb.cloner import CloneParams, joint_distribution
+from ndeb.cloner import PARTNER, CloneParams, joint_distribution
+from ndeb.qudit import conjugate_basis, optimal_angles, phi_basis
 from ndeb.sim import (
     ProtocolConfig,
     SimReport,
-    _verify_pairing,
     conjugate_pairs,
     empirical_info,
     run_simulation,
 )
 
+from state_tools import basis_relabeling
 from strategies import clone_params, protocol_configs
 
 CROSSOVER3 = CloneParams(
@@ -65,9 +66,20 @@ def test_conjugate_pairs_value():
     assert conjugate_pairs() == {(0, 0), (2, 2), (1, 3), (3, 1)}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [*range(2, 17), 17, 32])
 def test_pairing_rederivation_passes(n):
-    _verify_pairing(n)  # raises on any mismatch
+    # conjugating basis i gives basis PARTNER[i] up to a relabeling, and
+    # the sifted pairs are exactly those whose clean tables are diagonal
+    angles = optimal_angles(n)
+    for i in range(4):
+        conj_i = conjugate_basis(phi_basis(n, angles[i]))
+        assert basis_relabeling(conj_i, phi_basis(n, angles[PARTNER[i]])) is not None, i
+    tables = joint_distribution(CloneParams.identity(n))
+    derived = {
+        (a, b) for a in range(4) for b in range(4)
+        if np.allclose(tables[a, b], np.eye(n) / n, atol=1e-10)
+    }
+    assert derived == conjugate_pairs()
 
 
 # ---------------------------------------------------------------- config

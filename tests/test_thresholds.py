@@ -148,6 +148,30 @@ def test_optimizer_rejects_bad_dim(fn, n, fid):
         fn(n, fid)
 
 
+def family_at_zero(n, fid):
+    return clone_family_at_fidelity(n, fid, 0.0)
+
+
+@pytest.mark.parametrize("fn", [y_max, max_eve_info, family_at_zero])
+@pytest.mark.parametrize("fid", [math.nan, math.inf, -math.inf, "0.9", True, None, 0.9j])
+def test_fidelity_entry_points_reject_bad_fidelity(fn, fid):
+    with pytest.raises(ValueError, match="fidelity must be a finite number"):
+        fn(3, fid)
+
+
+@pytest.mark.parametrize("n", [1, 0, 2.0, True, "3"])
+def test_clone_family_at_fidelity_rejects_bad_dim(n):
+    with pytest.raises(ValueError, match="qudit dimension"):
+        clone_family_at_fidelity(n, 0.9, 0.0)
+
+
+def test_fidelity_entry_points_take_numpy_and_int_fidelity():
+    assert y_max(3, np.float64(0.9)) == y_max(3, 0.9)
+    assert max_eve_info(3, 1) == max_eve_info(3, 1.0)
+    assert clone_family_at_fidelity(np.int64(3), np.float64(0.9), 0.1) == \
+        clone_family_at_fidelity(3, 0.9, 0.1)
+
+
 def test_max_eve_info_rejects_out_of_range_fidelity():
     with pytest.raises(ValueError):
         max_eve_info(3, 0.2)  # below 1/3
