@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import BasisMatrix, StateVector, check_dim, finite_real, phi_basis
+from .qudit import BasisMatrix, StateVector, check_dim, finite_real, phi_basis, strict_int
 
 VARIANTS = ("RA", "BC")
 
@@ -34,8 +34,8 @@ class BellIndex:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", strict_int("m", self.m))
+        object.__setattr__(self, "n", strict_int("n", self.n))
 
     def normalized(self, dim: int) -> "BellIndex":
         return BellIndex(self.m % dim, self.n % dim, self.variant)

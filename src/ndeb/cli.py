@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("out", help="output report path (JSON)")
     p_sim.add_argument(
         "--shards", type=int, default=1,
-        help="blocks the rounds are processed in; the report is byte-identical for any count",
+        help="accepted for compatibility and ignored: rounds are sampled in fixed-size blocks",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -8,9 +8,13 @@ joint table of that basis pair.  Tables come straight from
 attack, whose tables are those of the clean entangled pair.
 
 Randomness: numpy's Philox counter-based generator keyed by the 64-bit
-config seed.  All variates for all rounds are drawn in one pass before
-any processing, so the report is a pure function of (config, seed) and
-cannot depend on how rounds are later chunked across shards.
+config seed.  The stream is read in a fixed order - Alice's basis
+variates for every round, then Bob's, then the outcome variates - so
+the report is a pure function of (config, seed).  Each of the three
+passes runs in blocks of ``BLOCK_ROUNDS`` rounds, which bounds the
+temporaries; only the basis pair of each round (one byte) and the
+sifted key are held for the whole run.  The ``shards`` argument is
+accepted and has no effect.
 
 Rounds are processed as arrays; the sifted key is an int64 array with
 one row per sifted round: (alice, bob, (bob - alice) mod n) under
@@ -28,6 +32,9 @@ from .cloner import CloneParams, joint_distribution
 from .qudit import check_dim, finite_real, strict_int
 
 WEIGHT_ATOL = 1e-9
+# Rounds per block: bounds each block's temporaries.  Of 2**14..2**18,
+# 2**16 ran fastest and held the least memory at N = 3 and N = 16.
+BLOCK_ROUNDS = 1 << 16
 
 _PAIRS = frozenset({(0, 0), (2, 2), (1, 3), (3, 1)})
 # _SIFTED[4*a + b] is True when the basis pair (a, b) is kept at sifting.
@@ -68,8 +75,8 @@ def key_rows(key: np.ndarray) -> list[list[int | None]]:
 class ProtocolConfig:
     """One simulation run: dimension, round count, weights, attack, seed.
 
-    Every variate is drawn up front and memory grows with ``rounds``,
-    so it is capped at ``MAX_ROUNDS``.
+    Memory grows with ``rounds`` (the basis pairs and the sifted key
+    are held for the whole run), so it is capped at ``MAX_ROUNDS``.
     """
 
     MAX_ROUNDS = 10 ** 7
@@ -85,11 +92,15 @@ class ProtocolConfig:
         rounds = strict_int("rounds", self.rounds)
         if not 1 <= rounds <= self.MAX_ROUNDS:
             raise ValueError(f"rounds must be in 1..{self.MAX_ROUNDS}, got {rounds}")
-        weights = tuple(float(w) for w in self.basis_weights)
+        try:
+            raw = tuple(self.basis_weights)
+        except TypeError:
+            raise ValueError(
+                f"basis_weights must be a sequence of 4 numbers, got {self.basis_weights!r}"
+            ) from None
+        weights = tuple(finite_real(f"basis_weights[{i}]", w) for i, w in enumerate(raw))
         if len(weights) != 4:
             raise ValueError(f"need 4 basis weights, got {len(weights)}")
-        if not all(math.isfinite(w) for w in weights):
-            raise ValueError(f"basis weights must be finite, got {weights}")
         if min(weights) < 0.0:
             raise ValueError(f"basis weights must be nonnegative, got {weights}")
         if abs(sum(weights) - 1.0) > WEIGHT_ATOL:
@@ -125,7 +136,7 @@ class ProtocolConfig:
         return ProtocolConfig(
             n=d["n"],
             rounds=d["rounds"],
-            basis_weights=tuple(d["basis_weights"]),
+            basis_weights=d["basis_weights"],
             attack=params,
             seed=d["seed"],
         )
@@ -211,9 +222,27 @@ class SimReport:
 
 
 def _outcome_cdfs(cfg: ProtocolConfig) -> np.ndarray:
-    """cdfs[4*a + b] = cumulative distribution over flat outcomes k*n + l."""
+    """cdfs[4*a + b] = cumulative distribution over flat outcomes k*n + l.
+
+    Table entries that rounding leaves slightly negative (down to about
+    -5e-17) are taken as 0, so every row is nondecreasing, as
+    ``searchsorted`` requires.
+    """
     params = cfg.attack if cfg.attack is not None else CloneParams.identity(cfg.n)
-    return np.cumsum(joint_distribution(params).reshape(16, -1), axis=-1)
+    table = joint_distribution(params).reshape(16, -1)
+    return np.cumsum(np.maximum(table, 0.0), axis=-1)
+
+
+def _basis_index(weight_cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Basis index per variate, as uint8: the number of CDF edges at or below u.
+
+    Equals ``min(searchsorted(weight_cdf, u, "right"), 3)`` because
+    ``weight_cdf`` is nondecreasing.
+    """
+    index = (u >= weight_cdf[0]).view(np.uint8)
+    index += u >= weight_cdf[1]
+    index += u >= weight_cdf[2]
+    return index
 
 
 def _sample_block(
@@ -221,27 +250,35 @@ def _sample_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome counts of a block of rounds, and its sifted flat outcomes.
 
-    ``pair`` holds each round's basis pair as 4*a + b; outcomes k*n + l
-    are drawn by inverse transform of ``u_out`` through that pair's CDF.
-    The counts are indexed (pair, k*n + l), flattened.
+    ``pair`` holds each round's basis pair as 4*a + b (uint8); outcomes
+    k*n + l are drawn by inverse transform of ``u_out`` through that
+    pair's CDF.  Rounds are grouped by pair with a stable sort, so each
+    pair's CDF is searched once, in round order, and the outcomes are
+    scattered back to their rounds.  The counts are indexed
+    (pair, k*n + l), flattened.
     """
     size = cdfs.shape[1]
-    flat = np.empty(pair.size, dtype=np.int64)
-    for p in range(16):
-        sel = np.flatnonzero(pair == p)
-        flat[sel] = np.searchsorted(cdfs[p], u_out[sel], side="right")
-    np.minimum(flat, size - 1, out=flat)
-    counts = np.bincount(pair * size + flat, minlength=16 * size)
-    return counts, flat[_SIFTED[pair]]
+    order = np.argsort(pair, kind="stable")
+    ends = np.cumsum(np.bincount(pair, minlength=16)).tolist()
+    counts = np.empty((16, size), dtype=np.int64)
+    flat = np.empty(pair.size, dtype=np.intp)
+    lo = 0
+    for p, hi in enumerate(ends):
+        rows = order[lo:hi]
+        outcome = np.searchsorted(cdfs[p], u_out[rows], side="right")
+        np.minimum(outcome, size - 1, out=outcome)
+        counts[p] = np.bincount(outcome, minlength=size)
+        flat[rows] = outcome
+        lo = hi
+    return counts.ravel(), flat[_SIFTED[pair]]
 
 
 def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
-    """Run ``cfg.rounds`` protocol rounds, processed in ``shards`` blocks.
+    """Run ``cfg.rounds`` protocol rounds and aggregate them into a report.
 
-    Shards only split the processing into contiguous blocks (at most one
-    per round); every per-round variate is a fixed function of (seed,
-    round index), so the merged report is identical for every shard
-    count.
+    Rounds are sampled in blocks of ``BLOCK_ROUNDS``.  ``shards`` must be
+    an int >= 1 and has no effect: it is kept so that callers passing it
+    still run, and the report is identical for every value.
     """
     shards = strict_int("shards", shards)
     if shards < 1:
@@ -251,19 +288,21 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     weight_cdf = np.cumsum(cfg.basis_weights)
-    # Draw order is fixed: Alice's basis variates, Bob's, then outcomes.
-    # Only the pair index is kept, so the basis indices are freed early.
-    a_idx = np.minimum(np.searchsorted(weight_cdf, rng.random(rounds), side="right"), 3)
-    b_idx = np.minimum(np.searchsorted(weight_cdf, rng.random(rounds), side="right"), 3)
-    pair = 4 * a_idx + b_idx
-    del a_idx, b_idx
-    u_out = rng.random(rounds)
+    starts = range(0, rounds, BLOCK_ROUNDS)
+    # Draw order is fixed: Alice's basis variates for every round, Bob's,
+    # then the outcome variates.  Drawing each in blocks reads the same
+    # stream as one draw of ``rounds`` variates.
+    pair = np.zeros(rounds, dtype=np.uint8)
+    for weight in (4, 1):
+        for lo in starts:
+            block = pair[lo:lo + BLOCK_ROUNDS]
+            block += weight * _basis_index(weight_cdf, rng.random(block.size))
 
     counts = np.zeros(16 * n * n, dtype=np.int64)
     sifted = []
-    bounds = np.linspace(0, rounds, min(shards, rounds) + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block_counts, block_sifted = _sample_block(cdfs, pair[lo:hi], u_out[lo:hi])
+    for lo in starts:
+        block = pair[lo:lo + BLOCK_ROUNDS]
+        block_counts, block_sifted = _sample_block(cdfs, block, rng.random(block.size))
         counts += block_counts
         sifted.append(block_sifted)
     key = key_columns(np.concatenate(sifted), n, cfg.attack is not None)

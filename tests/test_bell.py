@@ -36,6 +36,21 @@ def test_bell_index_normalized_wraps_mod_dim():
     assert (idx.m, idx.n, idx.variant) == (2, 2, "BC")
 
 
+@pytest.mark.parametrize(
+    "m, n, name",
+    [(1.9, 1, "m"), (1, True, "n"), ("2", 0, "m"), (0, 0.0, "n"), (None, 0, "m")],
+)
+def test_bell_index_rejects_non_int_indices(m, n, name):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        BellIndex(m, n)
+
+
+def test_bell_index_accepts_numpy_ints():
+    idx = BellIndex(np.int64(2), np.int32(-1))
+    assert (idx.m, idx.n) == (2, -1)
+    assert type(idx.m) is int and type(idx.n) is int
+
+
 # ---------------------------------------------------------------- states
 
 

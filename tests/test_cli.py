@@ -220,6 +220,15 @@ def test_overlap_rejects_malformed_indices(capsys):
     assert "--idx" in err
 
 
+@pytest.mark.parametrize("idx", ["1.9,0,0,0", "0,0,true,0"])
+def test_overlap_rejects_non_int_indices(capsys, idx):
+    rc, out, err = run_cli(
+        capsys, "overlap", "--n", "3", "--phi1", "0", "--phi2", "1", "--idx", idx
+    )
+    assert rc == 2 and out == ""
+    assert "--idx expects i,j,k,l with four ints" in err
+
+
 def test_overlap_rejects_bad_angle_index(capsys):
     rc, _, err = run_cli(
         capsys, "overlap", "--n", "2", "--phi1-index", "9", "--phi2", "0",
@@ -462,6 +471,23 @@ def test_simulate_rejects_non_int_fields(tmp_path, capsys, key, value):
     rc, _, err = run_cli(capsys, "simulate", str(cfg), str(tmp_path / "out.json"))
     assert rc == 2
     assert f"{key} must be an int" in err
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [(["0.25"] * 4, "basis_weights[0] must be a finite number"),
+     ([True, False, False, False], "basis_weights[0] must be a finite number"),
+     (5, "basis_weights must be a sequence"),
+     (None, "basis_weights must be a sequence")],
+    ids=["strings", "bools", "number", "null"],
+)
+def test_simulate_rejects_non_numeric_weights(tmp_path, capsys, weights, message):
+    cfg = write_config(tmp_path, basis_weights=weights)
+    out = tmp_path / "out.json"
+    rc, _, err = run_cli(capsys, "simulate", str(cfg), str(out))
+    assert rc == 2
+    assert message in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- module entry

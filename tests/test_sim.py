@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from ndeb import sim
 from ndeb.cloner import PARTNER, CloneParams, joint_distribution
 from ndeb.qudit import conjugate_basis, optimal_angles, phi_basis
 from ndeb.sim import (
@@ -17,6 +18,7 @@ from ndeb.sim import (
     empirical_info,
     run_simulation,
 )
+from ndeb.thresholds import crossover_fidelity
 
 from state_tools import basis_relabeling
 from strategies import clone_params, protocol_configs
@@ -114,6 +116,34 @@ def test_config_ints_are_strict(key, bad):
         ProtocolConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [("0.25",) * 4, (True, False, False, False), (None, 0.5, 0.25, 0.25)],
+    ids=["strings", "bools", "none"],
+)
+def test_config_weights_must_be_real_numbers(weights):
+    message = r"basis_weights\[0\] must be a finite number"
+    with pytest.raises(ValueError, match=message):
+        make_config(basis_weights=weights)
+    raw = {**make_config().to_dict(), "basis_weights": list(weights)}
+    with pytest.raises(ValueError, match=message):
+        ProtocolConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("weights", [5, None, 0.25])
+def test_config_weights_must_be_a_sequence(weights):
+    with pytest.raises(ValueError, match="basis_weights must be a sequence"):
+        make_config(basis_weights=weights)
+    with pytest.raises(ValueError, match="basis_weights must be a sequence"):
+        ProtocolConfig.from_dict({**make_config().to_dict(), "basis_weights": weights})
+
+
+def test_config_accepts_numpy_weights():
+    cfg = make_config(basis_weights=tuple(np.full(4, 0.25, dtype=np.float32)))
+    assert cfg.basis_weights == (0.25,) * 4
+    assert all(type(w) is float for w in cfg.basis_weights)
+
+
 def test_config_accepts_numpy_ints():
     cfg = make_config(n=np.int64(3), rounds=np.int32(10), seed=np.uint64(5))
     assert (cfg.n, cfg.rounds, cfg.seed) == (3, 10, 5)
@@ -169,6 +199,78 @@ def test_config_from_dict_rejects_bad_attack_block():
     for attack in ({"v": 0.9, "x": 0.1}, {"v": 0.9, "x": 0.1, "y": None}):
         with pytest.raises(ValueError, match="attack block"):
             ProtocolConfig.from_dict({**good, "attack": attack})
+
+
+# ---------------------------------------------------------------- sampling kernel
+
+
+def reference_basis_index(weight_cdf, u):
+    """The basis pick as one CDF search; the oracle for ``sim._basis_index``."""
+    return np.minimum(np.searchsorted(weight_cdf, u, side="right"), 3)
+
+
+def reference_sample_block(cdfs, pair, u_out):
+    """One ``flatnonzero`` pass per basis pair; the oracle for ``sim._sample_block``."""
+    size = cdfs.shape[1]
+    pair = pair.astype(np.int64)
+    flat = np.empty(pair.size, dtype=np.int64)
+    for p in range(16):
+        sel = np.flatnonzero(pair == p)
+        flat[sel] = np.searchsorted(cdfs[p], u_out[sel], side="right")
+    np.minimum(flat, size - 1, out=flat)
+    counts = np.bincount(pair * size + flat, minlength=16 * size)
+    sifted = np.isin(pair, [4 * a + b for a, b in conjugate_pairs()])
+    return counts, flat[sifted]
+
+
+def crossover_attack(n):
+    """The optimal attack at the crossover fidelity F_A(n)."""
+    record = crossover_fidelity(n)
+    return CloneParams(n, record.v, record.x, record.y)
+
+
+KERNEL_WEIGHTS = [(0.25,) * 4, (0.7, 0.1, 0.1, 0.1), (0.5, 0.5, 0.0, 0.0),
+                  (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+KERNEL_WEIGHT_IDS = ["uniform", "skewed", "two-zero", "only-1", "only-3"]
+
+
+@pytest.mark.parametrize("weights", KERNEL_WEIGHTS, ids=KERNEL_WEIGHT_IDS)
+def test_basis_index_matches_cdf_search(weights):
+    weight_cdf = np.cumsum(weights)
+    on_edges = [weight_cdf, np.nextafter(weight_cdf, 0.0), np.nextafter(weight_cdf, 2.0)]
+    u = np.concatenate([np.random.default_rng(3).random(20000), *on_edges, [0.0]])
+    got = sim._basis_index(weight_cdf, u)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, reference_basis_index(weight_cdf, u))
+
+
+@pytest.mark.parametrize("weights", KERNEL_WEIGHTS[:3], ids=KERNEL_WEIGHT_IDS[:3])
+@pytest.mark.parametrize("n, attacked", [(2, False), (2, True), (3, False), (3, True),
+                                         (16, False), (16, True)])
+def test_sample_block_matches_reference(n, attacked, weights):
+    cfg = make_config(n=n, basis_weights=weights,
+                      attack=crossover_attack(n) if attacked else None)
+    cdfs = sim._outcome_cdfs(cfg)
+    rng = np.random.default_rng(n)
+    weight_cdf = np.cumsum(weights)
+    pair = (4 * reference_basis_index(weight_cdf, rng.random(6000))
+            + reference_basis_index(weight_cdf, rng.random(6000)))
+    u_out = rng.random(pair.size)
+    # a fifth of the variates sit exactly on an edge of their pair's CDF
+    edge = rng.integers(0, cdfs.shape[1], size=pair.size)
+    on_edge = rng.random(pair.size) < 0.2
+    u_out[on_edge] = cdfs[pair, edge][on_edge]
+    got_counts, got_sifted = sim._sample_block(cdfs, pair.astype(np.uint8), u_out)
+    want_counts, want_sifted = reference_sample_block(cdfs, pair, u_out)
+    np.testing.assert_array_equal(got_counts, want_counts)
+    np.testing.assert_array_equal(got_sifted, want_sifted)
+
+
+@pytest.mark.parametrize("attacked", [False, True], ids=["clean", "crossover"])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_outcome_cdfs_are_monotone(n, attacked):
+    cfg = make_config(n=n, attack=crossover_attack(n) if attacked else None)
+    assert (np.diff(sim._outcome_cdfs(cfg), axis=-1) >= 0).all()
 
 
 # ---------------------------------------------------------------- clean runs
@@ -295,6 +397,11 @@ GOLDEN_DIGESTS = [
      "151e30d1395feb9dfa4a821e7829bfd9f5f173a47e4df5a0b02b307ee5211095"),
     (dict(basis_weights=(0.0, 1.0, 0.0, 0.0), rounds=500), 1,
      "7a0b9db6c1462524270284e1ec3116b5409400baea64bd53ad5f7c7b205e6734"),
+    # 2**18 + 12345 rounds span five blocks of sim.BLOCK_ROUNDS = 2**16;
+    # pinned from the one-pass-per-pair sampler, reference_sample_block,
+    # which drew every variate before sampling.
+    (dict(attack=CROSSOVER3, rounds=2 ** 18 + 12345), 1,
+     "22ba467ac1f321c297dfcbd2bfcfe107ca8eae18a6975612d8bcbb4a1a8f5108"),
 ]
 
 
@@ -306,7 +413,7 @@ def sha256_digest(report):
     "overrides, shards, digest",
     GOLDEN_DIGESTS,
     ids=["n3-attacked-s1", "n3-attacked-s3", "n16-clean", "n2-one-round",
-         "n2-one-round-attacked", "never-sifting"],
+         "n2-one-round-attacked", "never-sifting", "n3-attacked-five-blocks"],
 )
 def test_report_golden_digest(overrides, shards, digest):
     report = run_simulation(make_config(**overrides), shards=shards)
@@ -330,11 +437,25 @@ def test_shards_must_be_an_int(bad):
         run_simulation(make_config(rounds=10), shards=bad)
 
 
-def test_huge_shard_count_runs_one_block_per_round():
-    cfg = make_config(rounds=10, attack=CROSSOVER3)
+def test_huge_shard_count_runs_fixed_size_blocks(monkeypatch):
+    blocks = []
+    sample_block = sim._sample_block
+
+    def counted(cdfs, pair, u_out):
+        blocks.append(pair.size)
+        return sample_block(cdfs, pair, u_out)
+
+    monkeypatch.setattr(sim, "_sample_block", counted)
+    cfg = make_config(rounds=sim.BLOCK_ROUNDS + 1, attack=CROSSOVER3)
     one = sha256_digest(run_simulation(cfg, shards=1))
+    assert blocks == [sim.BLOCK_ROUNDS, 1]
+    blocks.clear()
     assert sha256_digest(run_simulation(cfg, shards=2 ** 40)) == one
-    assert sha256_digest(run_simulation(cfg, shards=np.int64(10))) == one
+    assert blocks == [sim.BLOCK_ROUNDS, 1]
+    small = make_config(rounds=10, attack=CROSSOVER3)
+    assert sha256_digest(run_simulation(small, shards=np.int64(10))) == sha256_digest(
+        run_simulation(small)
+    )
 
 
 # ---------------------------------------------------------------- reports
