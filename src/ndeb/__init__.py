@@ -1,14 +1,6 @@
 """N-level entanglement-based QKD: cloning attacks, thresholds, simulation."""
 
-from .qudit import (
-    BasisMatrix,
-    DensityMatrix,
-    StateVector,
-    conjugate_basis,
-    max_entangled,
-    optimal_angles,
-    phi_basis,
-)
+from .qudit import BasisMatrix, StateVector, optimal_angles, phi_basis
 from .bell import BellIndex, bell_overlap, bell_state, overlap_matrix
 from .cloner import (
     AmplitudeMatrix,
@@ -18,7 +10,6 @@ from .cloner import (
     invariance_classes,
     joint_distribution,
     params_to_matrix,
-    reduced_state_ra,
     werner_noise_fraction,
 )
 from .info import entropy, eve_conditional, i_ab, i_ae
@@ -40,14 +31,12 @@ __all__ = [
     "BellIndex",
     "ClassPartition",
     "CloneParams",
-    "DensityMatrix",
     "ProtocolConfig",
     "SimReport",
     "StateVector",
     "ThresholdRecord",
     "bell_overlap",
     "bell_state",
-    "conjugate_basis",
     "conjugate_pairs",
     "crossover_fidelity",
     "empirical_info",
@@ -59,13 +48,11 @@ __all__ = [
     "i_ae",
     "invariance_classes",
     "joint_distribution",
-    "max_entangled",
     "max_eve_info",
     "optimal_angles",
     "overlap_matrix",
     "params_to_matrix",
     "phi_basis",
-    "reduced_state_ra",
     "run_simulation",
     "security_report",
     "visibility_threshold",

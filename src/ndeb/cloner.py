@@ -17,7 +17,8 @@ which of the four protocol bases is used to build it, which is the
 property that lets a single attack cover every sifted basis choice.
 The three-parameter family ``CloneParams(v, x, y)`` - column 0 equal to
 (v, x, ..., x), every other column constant y - is the symmetric member
-of that invariant set used by the optimizer.
+of that invariant set used by the optimizer; ``joint_distribution``
+gives its exact outcome tables in every pair of protocol bases.
 """
 from __future__ import annotations
 
@@ -28,17 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import overlap_matrix
-from .qudit import (
-    ATOL,
-    BasisMatrix,
-    DensityMatrix,
-    check_dim,
-    conjugate_basis,
-    finite_real,
-    max_entangled,
-    optimal_angles,
-    phi_basis,
-)
+from .qudit import ATOL, check_dim, finite_real
 
 CLASS_TOL = 1e-9
 
@@ -189,61 +180,32 @@ def werner_noise_fraction(p: CloneParams) -> float:
     return 1.0 - (p.v * p.v - p.x * p.x)
 
 
-def reduced_state_ra(p: CloneParams) -> DensityMatrix:
-    """State of the (reference, clone_a) pair after the attack.
-
-        (v^2 - x^2) |phi+><phi+| + (x^2 - y^2) sum_k |kk><kk| + y^2 I
-
-    which is what the Bell-diagonal mixture collapses to for the
-    symmetric family.
-    """
-    n = p.dim
-    v2, x2, y2 = p.v ** 2, p.x ** 2, p.y ** 2
-    phi = max_entangled(n).amps
-    rho = (v2 - x2) * np.outer(phi, phi.conj())
-    diag = np.zeros(n * n)
-    diag[np.arange(n) * n + np.arange(n)] = x2 - y2
-    rho += np.diag(diag)
-    rho += y2 * np.eye(n * n)
-    return DensityMatrix((n, n), rho)
-
-
-def alice_measurement_basis(n: int, index: int) -> BasisMatrix:
-    """Measurement basis named by Alice's protocol index.
-
-    Alice's index-i measurement is the conjugate of the *partner* basis
-    PARTNER[i].  As a set of rays this is exactly the optimal basis at
-    angle 2*pi*i/(4N); taking the conjugate-partner labeling instead of
-    the plain one makes her outcome equal Bob's (rather than related by
-    a fixed flip) whenever the pair of indices is conjugate.
-    """
-    n = check_dim(n)
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"basis index must be in 0..3, got {index}")
-    angles = optimal_angles(n)
-    return conjugate_basis(phi_basis(n, angles[PARTNER[index]]))
-
-
-def bob_measurement_basis(n: int, index: int) -> BasisMatrix:
-    """Bob's index-j measurement: the optimal basis at angle 2*pi*j/(4N)."""
-    n = check_dim(n)
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"basis index must be in 0..3, got {index}")
-    return phi_basis(n, optimal_angles(n)[index])
-
-
 def joint_distribution(p: CloneParams) -> np.ndarray:
     """P[a, b, k, l] for every Alice index a and Bob index b, shape (4, 4, N, N).
 
-    Computed from the reduced two-slot state, so it covers conjugate
-    pairs (where the table is F/N on the matched diagonal and D/N off
-    it) and non-conjugate pairs (where it is indistinguishable from the
-    isotropic-noise mixture) alike.
+    The key pair is left in (v^2 - x^2) |phi+><phi+| + (x^2 - y^2)
+    sum_k |kk><kk| + y^2 I.  Every protocol basis is unbiased with respect
+    to the computational basis, so the last two terms give the flat
+    (x^2 - y^2)/N + y^2 in every cell.  Alice's index-a outcome k is read
+    in the conjugate of the partner basis PARTNER[a], Bob's index-b
+    outcome l in the basis at angle 2*pi*b/(4N); on |phi+> the pair then
+    scores the Fejer kernel
+
+        T = sin^2(pi d/4) / (N^3 sin^2(pi (4(l - k) + d) / (4N))),
+
+    d = b - PARTNER[a], and T = 1/N where 4(l - k) + d = 0 mod 4N.  On a
+    conjugate pair (d = 0) the table is F/N on the matched diagonal and
+    D_m/N on the shift-by-m diagonal.
     """
     n = p.dim
-    rho = reduced_state_ra(p).entries.reshape(n, n, n, n)
-    ua = np.stack([alice_measurement_basis(n, a).u for a in range(4)])
-    ub = np.stack([bob_measurement_basis(n, b).u for b in range(4)])
-    return np.einsum(
-        "aik,bjl,ijxy,axk,byl->abkl", ua.conj(), ub.conj(), rho, ua, ub, optimize=True
-    ).real
+    d = np.arange(4) - np.array([PARTNER[a] for a in range(4)])[:, None]  # [a, b]
+    shift = 4 * (np.arange(n) - np.arange(n)[:, None])  # [k, l] = 4(l - k)
+    m = d[:, :, None, None] + shift
+    kernel = np.divide(
+        np.sin(np.pi * d / 4)[:, :, None, None] ** 2,
+        n ** 3 * np.sin(np.pi * m / (4 * n)) ** 2,
+        out=np.full(m.shape, 1.0 / n),
+        where=m % (4 * n) != 0,
+    )
+    flat = (p.x * p.x - p.y * p.y) / n + p.y * p.y
+    return (1.0 - werner_noise_fraction(p)) * kernel + flat

@@ -30,6 +30,8 @@ def _as_prob_dist(dist) -> np.ndarray:
     p = np.asarray(dist, dtype=float).reshape(-1)
     if p.size == 0:
         raise ValueError("empty probability distribution")
+    if not np.isfinite(p).all():
+        raise ValueError(f"probabilities must be finite, got {p}")
     if p.min() < -1e-12:
         raise ValueError(f"negative probability {p.min()}")
     if abs(p.sum() - 1.0) > PROB_ATOL:

@@ -1,4 +1,4 @@
-"""Qudit primitives: phase-gradient bases, entangled pairs, density matrices.
+"""Qudit primitives: states, phase-gradient bases and the input checks.
 
 Conventions used throughout the package:
 
@@ -21,7 +21,6 @@ from typing import Any
 import numpy as np
 
 ATOL = 1e-12
-EIG_ATOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,41 +105,14 @@ class BasisMatrix:
         return self.u[:, j % self.dim]
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on qudit slots."""
-
-    dims: tuple[int, ...]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(check_dim(d) for d in self.dims)
-        size = math.prod(dims)
-        rho = np.array(self.entries, dtype=complex)
-        if rho.shape != (size, size):
-            raise ValueError(f"density matrix must be {size}x{size}, got {rho.shape}")
-        if not np.allclose(rho, rho.conj().T, atol=ATOL):
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
-            raise ValueError("density matrix trace differs from 1 by more than 1e-12")
-        if np.linalg.eigvalsh(rho).min() < -EIG_ATOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", _frozen(rho))
-
-
 def phi_basis(n: int, phase: float) -> BasisMatrix:
     """Phase-gradient basis: u[k, l] = exp(1j*k*(2*pi*l/n + phase)) / sqrt(n)."""
     n = check_dim(n)
+    phase = finite_real("phase", phase)
     k = np.arange(n)[:, None]
     l = np.arange(n)[None, :]
     u = np.exp(1j * k * (TWO_PI * l / n + phase)) / math.sqrt(n)
     return BasisMatrix(n, u, label=f"phi={phase:.10g}")
-
-
-def conjugate_basis(b: BasisMatrix) -> BasisMatrix:
-    """Entrywise complex conjugate of ``b`` (columns keep their labels)."""
-    return BasisMatrix(b.dim, b.u.conj(), label=f"conj({b.label})")
 
 
 def optimal_angles(n: int) -> np.ndarray:
@@ -148,14 +120,3 @@ def optimal_angles(n: int) -> np.ndarray:
     n = check_dim(n)
     return TWO_PI * np.arange(4) / (4 * n)
 
-
-def max_entangled(n: int) -> StateVector:
-    """(1/sqrt(n)) * sum_k |k>|k> on two slots.
-
-    The same state re-expands as (1/sqrt(n)) * sum_k |conj(psi_k)>|psi_k>
-    for the columns psi_k of any unitary, which is what makes basis
-    agreement between the two ends of the pair possible.
-    """
-    n = check_dim(n)
-    amps = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
-    return StateVector((n, n), amps)

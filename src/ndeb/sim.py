@@ -45,10 +45,10 @@ def conjugate_pairs() -> frozenset[tuple[int, int]]:
     """Basis-index pairs kept at sifting: {(0,0), (2,2), (1,3), (3,1)}.
 
     Under the convention that Alice's index i denotes the conjugate of
-    the partner basis (see ``alice_measurement_basis``), these are
-    exactly the pairs whose outcomes match symbol-for-symbol on the
-    clean entangled pair: indices 0 and 2 are self-conjugate, 1 and 3
-    are conjugates of each other.
+    the partner basis ``cloner.PARTNER[i]`` (see ``joint_distribution``),
+    these are exactly the pairs whose outcomes match symbol-for-symbol on
+    the clean entangled pair: indices 0 and 2 are self-conjugate, 1 and
+    3 are conjugates of each other.
     """
     return _PAIRS
 
@@ -126,13 +126,12 @@ class ProtocolConfig:
         params = None
         if attack is not None:
             try:
-                params = CloneParams(
-                    strict_int("n", d["n"]), attack["v"], attack["x"], attack["y"]
-                )
-            except (KeyError, TypeError) as exc:
+                vxy = [finite_real(f"attack.{k}", attack[k]) for k in "vxy"]
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
-                    "attack block must map v, x, y to numbers"
+                    f"attack block must map v, x, y to finite numbers ({exc})"
                 ) from exc
+            params = CloneParams(strict_int("n", d["n"]), *vxy)
         return ProtocolConfig(
             n=d["n"],
             rounds=d["rounds"],
@@ -224,9 +223,8 @@ class SimReport:
 def _outcome_cdfs(cfg: ProtocolConfig) -> np.ndarray:
     """cdfs[4*a + b] = cumulative distribution over flat outcomes k*n + l.
 
-    Table entries that rounding leaves slightly negative (down to about
-    -5e-17) are taken as 0, so every row is nondecreasing, as
-    ``searchsorted`` requires.
+    Table entries that rounding may leave slightly negative are taken as
+    0, so every row is nondecreasing, as ``searchsorted`` requires.
     """
     params = cfg.attack if cfg.attack is not None else CloneParams.identity(cfg.n)
     table = joint_distribution(params).reshape(16, -1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .cloner import CloneParams
 from .info import i_ab, i_ae
-from .qudit import check_dim, finite_real
+from .qudit import check_dim, finite_real, strict_int
 
 Y_LO = 1e-6  # dI_AE/dy is 0 at y = 0, so y's bracket starts at Y_LO * y_max
 BRACKET_PAD = 1e-6
@@ -212,6 +212,7 @@ def crossover_fidelity(n: int) -> ThresholdRecord:
 
 def security_report(n_min: int, n_max: int) -> list[ThresholdRecord]:
     """Threshold records for every dimension in [n_min, n_max]."""
+    n_min, n_max = strict_int("n_min", n_min), strict_int("n_max", n_max)
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     return [crossover_fidelity(n) for n in range(n_min, n_max + 1)]

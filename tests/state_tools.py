@@ -1,14 +1,18 @@
 """State algebra that only the tests use, built on the library's types.
 
-Partial traces, basis relabelings, the four-slot attack state, the
-Werner state, dense N^2 x N^2 Bell Gram matrices and the union-find
-invariance-class oracle live here rather than in ``ndeb``: the library
-computes the same quantities in closed form, and these slower, more
-literal routes are what the tests compare it with.  Unlike
-``born_oracle`` they reuse ``ndeb``'s states and bases.
+Density matrices and partial traces, basis conjugation and relabelings,
+the maximally entangled pair, the four-slot attack state, its reduced
+two-slot state, the Werner state, the protocol measurement bases, the
+outcome tables by an explicit Born-rule contraction, dense N^2 x N^2
+Bell Gram matrices and the union-find invariance-class oracle live here
+rather than in ``ndeb``: the library computes the same quantities in
+closed form, and these slower, more literal routes are what the tests
+compare it with.  Unlike ``born_oracle`` they reuse ``ndeb``'s states
+and bases.
 """
 import functools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,22 +20,61 @@ import numpy as np
 from ndeb.bell import BellIndex, bell_state
 from ndeb.cloner import (
     CLASS_TOL,
+    PARTNER,
     AmplitudeMatrix,
     ClassPartition,
     CloneParams,
     _coerce_matrix,
 )
 from ndeb.qudit import (
+    ATOL,
     BasisMatrix,
-    DensityMatrix,
     StateVector,
     check_dim,
-    max_entangled,
+    optimal_angles,
     phi_basis,
 )
 
+EIG_ATOL = 1e-10
+
 
 # ---------------------------------------------------------------- states
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, unit-trace, positive-semidefinite operator on qudit slots."""
+
+    dims: tuple[int, ...]
+    entries: np.ndarray
+
+    def __post_init__(self):
+        dims = tuple(check_dim(d) for d in self.dims)
+        size = math.prod(dims)
+        rho = np.array(self.entries, dtype=complex)
+        if rho.shape != (size, size):
+            raise ValueError(f"density matrix must be {size}x{size}, got {rho.shape}")
+        if not np.allclose(rho, rho.conj().T, atol=ATOL):
+            raise ValueError("density matrix is not Hermitian within 1e-12")
+        if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
+            raise ValueError("density matrix trace differs from 1 by more than 1e-12")
+        if np.linalg.eigvalsh(rho).min() < -EIG_ATOL:
+            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        rho.setflags(write=False)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "entries", rho)
+
+
+def max_entangled(n: int) -> StateVector:
+    """(1/sqrt(n)) * sum_k |k>|k> on two slots.
+
+    The same state re-expands as (1/sqrt(n)) * sum_k |conj(psi_k)>|psi_k>
+    for the columns psi_k of any unitary, which is what makes basis
+    agreement between the two ends of the pair possible.
+    """
+    n = check_dim(n)
+    amps = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
+    return StateVector((n, n), amps)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -74,6 +117,11 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------- bases
+
+
+def conjugate_basis(b: BasisMatrix) -> BasisMatrix:
+    """Entrywise complex conjugate of ``b`` (columns keep their labels)."""
+    return BasisMatrix(b.dim, b.u.conj(), label=f"conj({b.label})")
 
 
 def computational_basis(n: int) -> BasisMatrix:
@@ -218,3 +266,64 @@ def werner_state(n: int, noise_fraction: float) -> DensityMatrix:
     rho = (1.0 - noise_fraction) * np.outer(phi, phi.conj())
     rho += noise_fraction * np.eye(n * n) / (n * n)
     return DensityMatrix((n, n), rho)
+
+
+def reduced_state_ra(p: CloneParams) -> DensityMatrix:
+    """State of the (reference, clone_a) pair after the attack, written out:
+
+        (v^2 - x^2) |phi+><phi+| + (x^2 - y^2) sum_k |kk><kk| + y^2 I
+    """
+    n = p.dim
+    v2, x2, y2 = p.v ** 2, p.x ** 2, p.y ** 2
+    phi = max_entangled(n).amps
+    rho = (v2 - x2) * np.outer(phi, phi.conj())
+    diag = np.zeros(n * n)
+    diag[np.arange(n) * n + np.arange(n)] = x2 - y2
+    rho += np.diag(diag)
+    rho += y2 * np.eye(n * n)
+    return DensityMatrix((n, n), rho)
+
+
+# ---------------------------------------------------------------- outcome tables
+
+
+def alice_measurement_basis(n: int, index: int) -> BasisMatrix:
+    """Measurement basis named by Alice's protocol index.
+
+    Alice's index-i measurement is the conjugate of the *partner* basis
+    PARTNER[i].  As a set of rays this is exactly the optimal basis at
+    angle 2*pi*i/(4N); taking the conjugate-partner labeling instead of
+    the plain one makes her outcome equal Bob's (rather than related by
+    a fixed flip) whenever the pair of indices is conjugate.
+    """
+    n = check_dim(n)
+    if index not in (0, 1, 2, 3):
+        raise ValueError(f"basis index must be in 0..3, got {index}")
+    angles = optimal_angles(n)
+    return conjugate_basis(phi_basis(n, angles[PARTNER[index]]))
+
+
+def bob_measurement_basis(n: int, index: int) -> BasisMatrix:
+    """Bob's index-j measurement: the optimal basis at angle 2*pi*j/(4N)."""
+    n = check_dim(n)
+    if index not in (0, 1, 2, 3):
+        raise ValueError(f"basis index must be in 0..3, got {index}")
+    return phi_basis(n, optimal_angles(n)[index])
+
+
+def state_tables(rho: DensityMatrix) -> np.ndarray:
+    """P[a, b, k, l] = <alpha_k beta_l| rho |alpha_k beta_l> for a two-slot state,
+    with alpha = Alice's index-a basis and beta = Bob's index-b basis."""
+    n = rho.dims[0]
+    ua = np.stack([alice_measurement_basis(n, a).u for a in range(4)])
+    ub = np.stack([bob_measurement_basis(n, b).u for b in range(4)])
+    return np.einsum(
+        "aik,bjl,ijxy,axk,byl->abkl",
+        ua.conj(), ub.conj(), rho.entries.reshape(n, n, n, n), ua, ub,
+        optimize=True,
+    ).real
+
+
+def einsum_joint_distribution(p: CloneParams) -> np.ndarray:
+    """``joint_distribution`` by contracting the written-out reduced state."""
+    return state_tables(reduced_state_ra(p))

@@ -15,12 +15,9 @@ from ndeb.bell import bell_overlap, BellIndex, overlap_matrix
 from ndeb.cloner import (
     AmplitudeMatrix,
     CloneParams,
-    alice_measurement_basis,
-    bob_measurement_basis,
     invariance_classes,
     joint_distribution,
     params_to_matrix,
-    reduced_state_ra,
     werner_noise_fraction,
 )
 from ndeb.info import eve_conditional, i_ab, i_ae
@@ -30,9 +27,13 @@ from ndeb.thresholds import max_eve_info, security_report, y_max
 
 import born_oracle
 from state_tools import (
+    alice_measurement_basis,
+    bob_measurement_basis,
     brute_force_gram,
     build_attack_state,
     expand_overlap_table,
+    reduced_state_ra,
+    state_tables,
     traced_reduced_state,
     werner_state,
 )
@@ -179,13 +180,16 @@ def test_criterion_06_invariance_classes_and_basis_independence():
 
 def test_criterion_07_reduced_state_and_isotropic_disguise():
     rng = np.random.default_rng(73)
-    with reported(7, "reduced-state routes within 1e-12; all 16 tables isotropic"):
+    with reported(7, "reduced-state routes and the closed-form tables within 1e-12; "
+                     "all 16 tables isotropic"):
         for n in (2, 3, 4):
             for _ in range(20):
                 p = CloneParams(n, *born_oracle.random_clone_params(n, rng))
                 closed = reduced_state_ra(p).entries
-                traced = traced_reduced_state(p).entries
-                assert np.max(np.abs(closed - traced)) < 1e-12, n
+                traced = traced_reduced_state(p)
+                assert np.max(np.abs(closed - traced.entries)) < 1e-12, n
+                tables = joint_distribution(p)
+                assert np.max(np.abs(tables - state_tables(traced))) < 1e-12, n
         for n in (2, 3):
             for _ in range(3):
                 p = CloneParams(n, *born_oracle.random_clone_params(n, rng, noise_bounded=True))

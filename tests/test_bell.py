@@ -9,10 +9,16 @@ from ndeb.bell import (
     bell_state,
     overlap_matrix,
 )
-from ndeb.qudit import max_entangled, optimal_angles, phi_basis
+from ndeb.qudit import optimal_angles, phi_basis
 
 import born_oracle
-from state_tools import bell_basis, brute_force_gram, cyclic_shift, expand_overlap_table
+from state_tools import (
+    bell_basis,
+    brute_force_gram,
+    cyclic_shift,
+    expand_overlap_table,
+    max_entangled,
+)
 
 RNG = np.random.default_rng(77001)
 

@@ -490,6 +490,15 @@ def test_simulate_rejects_non_numeric_weights(tmp_path, capsys, weights, message
     assert not out.exists()
 
 
+def test_simulate_rejects_non_numeric_attack_values(tmp_path, capsys):
+    cfg = write_config(tmp_path, attack={"v": "1", "x": 0, "y": False})
+    out = tmp_path / "out.json"
+    rc, _, err = run_cli(capsys, "simulate", str(cfg), str(out))
+    assert rc == 2
+    assert "attack.v must be a finite number" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- module entry
 
 

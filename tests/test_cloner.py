@@ -11,26 +11,30 @@ from ndeb.cloner import (
     AmplitudeMatrix,
     ClassPartition,
     CloneParams,
-    alice_measurement_basis,
-    bob_measurement_basis,
     fidelity_disturbances,
     invariance_classes,
     joint_distribution,
     params_to_matrix,
-    reduced_state_ra,
     werner_noise_fraction,
 )
-from ndeb.qudit import max_entangled, optimal_angles, phi_basis
+from ndeb.qudit import optimal_angles, phi_basis
+from ndeb.thresholds import crossover_fidelity
 
 import born_oracle
 from state_tools import (
+    alice_measurement_basis,
     basis_relabeling,
+    bob_measurement_basis,
     build_attack_state,
+    einsum_joint_distribution,
+    max_entangled,
+    reduced_state_ra,
     tensor,
     traced_reduced_state,
     union_find_classes,
     werner_state,
 )
+from strategies import clone_params
 
 RNG = np.random.default_rng(550211)
 
@@ -372,6 +376,36 @@ def test_measurement_basis_index_validation():
         alice_measurement_basis(3, 4)
     with pytest.raises(ValueError):
         bob_measurement_basis(3, -1)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_joint_distribution_matches_einsum_oracle(n):
+    # the closed form against the Born-rule contraction of the written-out
+    # reduced state, clean and at the crossover attack
+    record = crossover_fidelity(n)
+    for p in (CloneParams.identity(n), CloneParams(n, record.v, record.x, record.y)):
+        got = joint_distribution(p)
+        assert got.shape == (4, 4, n, n)
+        assert np.max(np.abs(got - einsum_joint_distribution(p))) < 2e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_joint_distribution_matches_einsum_oracle(data):
+    # any member of the family, x > v (noise weight above one) included
+    n = data.draw(st.integers(2, 9))
+    p = data.draw(clone_params(n))
+    np.testing.assert_allclose(joint_distribution(p), einsum_joint_distribution(p), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_clean_tables_are_exact(n):
+    # the identity attack: conjugate pairs are exactly I/N, and no cell of
+    # any table is negative
+    tables = joint_distribution(CloneParams.identity(n))
+    assert tables.min() >= 0.0
+    for pair in ((0, 0), (2, 2), (1, 3), (3, 1)):
+        assert np.array_equal(tables[pair], np.eye(n) / n)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -57,6 +57,12 @@ def test_entropy_rejects_bad_distributions():
         entropy([])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entropy_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        entropy([bad, 1.0])
+
+
 def test_entropy_tolerates_tiny_negative_roundoff():
     assert entropy([1.0 + 5e-13, -5e-13]) == pytest.approx(0.0, abs=1e-10)
 

@@ -5,23 +5,23 @@ import pytest
 
 from ndeb.qudit import (
     BasisMatrix,
-    DensityMatrix,
     StateVector,
     check_dim,
-    conjugate_basis,
     finite_real,
-    max_entangled,
     optimal_angles,
     phi_basis,
 )
 
 import born_oracle
 from state_tools import (
+    DensityMatrix,
     as_tensor,
     basis_relabeling,
     computational_basis,
+    conjugate_basis,
     cyclic_shift,
     density,
+    max_entangled,
     mutual_unbiasedness_defect,
     partial_trace,
     states_equal_up_to_phase,
@@ -169,6 +169,12 @@ def test_phi_basis_matches_defining_formula(n, phase):
     b = phi_basis(n, phase)
     np.testing.assert_allclose(b.u, born_oracle.phi_matrix(n, phase), atol=1e-13)
     np.testing.assert_allclose(b.u.conj().T @ b.u, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "0.1", None, True])
+def test_phi_basis_rejects_bad_phase(bad):
+    with pytest.raises(ValueError, match="phase must be a finite number"):
+        phi_basis(3, bad)
 
 
 def test_phi_basis_n2_phase0_is_hadamard_like():

@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 
 from ndeb import sim
 from ndeb.cloner import PARTNER, CloneParams, joint_distribution
-from ndeb.qudit import conjugate_basis, optimal_angles, phi_basis
+from ndeb.qudit import optimal_angles, phi_basis
 from ndeb.sim import (
     ProtocolConfig,
     SimReport,
@@ -20,7 +20,7 @@ from ndeb.sim import (
 )
 from ndeb.thresholds import crossover_fidelity
 
-from state_tools import basis_relabeling
+from state_tools import basis_relabeling, conjugate_basis
 from strategies import clone_params, protocol_configs
 
 CROSSOVER3 = CloneParams(
@@ -199,6 +199,18 @@ def test_config_from_dict_rejects_bad_attack_block():
     for attack in ({"v": 0.9, "x": 0.1}, {"v": 0.9, "x": 0.1, "y": None}):
         with pytest.raises(ValueError, match="attack block"):
             ProtocolConfig.from_dict({**good, "attack": attack})
+
+
+@pytest.mark.parametrize("attack, name", [
+    ({"v": "1", "x": 0, "y": False}, "attack.v"),
+    ({"v": 1, "x": True, "y": 0}, "attack.x"),
+    ({"v": 1, "x": 0, "y": "0"}, "attack.y"),
+    ({"v": 1, "x": 0, "y": math.nan}, "attack.y"),
+], ids=["string-v", "bool-x", "string-y", "nan-y"])
+def test_config_from_dict_rejects_non_numeric_attack_values(attack, name):
+    good = make_config().to_dict()
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        ProtocolConfig.from_dict({**good, "attack": attack})
 
 
 # ---------------------------------------------------------------- sampling kernel

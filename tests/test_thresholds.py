@@ -363,3 +363,40 @@ def test_security_report_rejects_bad_range():
         security_report(5, 3)
     with pytest.raises(ValueError):
         security_report(1, 4)
+
+
+@pytest.mark.parametrize("bounds", [(2.0, 3), (2, 3.0), (True, 3), ("2", 3)])
+def test_security_report_rejects_non_int_bounds(bounds):
+    with pytest.raises(ValueError, match="must be an int"):
+        security_report(*bounds)
+
+
+# ---------------------------------------------------------------- universal cloner
+
+
+def universal_crossover(n):
+    """Crossover fidelity of the state-independent (universal) cloner.
+
+    That attack is the y = x member CloneParams(n, v, x, x) of the
+    family, fixed by its fidelity F = v^2 + (N-1) x^2 together with the
+    norm; the crossover is where i_ab and i_ae meet.
+    """
+    def gap(f):
+        x = math.sqrt((1.0 - f) / (n * (n - 1)))
+        p = CloneParams(n, math.sqrt(f - (n - 1) * x * x), x, x)
+        return i_ab(p) - i_ae(p)
+
+    return _brent(gap, 1.0 / n, 1.0)
+
+
+def test_universal_cloner_error_rates():
+    # the state-independent cloner figures quoted in the README
+    assert 100 * (1 - universal_crossover(2)) == pytest.approx(15.64, abs=0.005)
+    assert 100 * (1 - universal_crossover(3)) == pytest.approx(22.67, abs=0.005)
+    assert universal_crossover(2) == pytest.approx(0.8436, abs=5e-5)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_universal_cloner_is_weaker_than_optimal(n):
+    # the optimal attack reaches the crossover at a lower error rate
+    assert 1 - universal_crossover(n) > 1 - crossover_fidelity(n).f_a
