@@ -15,10 +15,10 @@ A matrix constant on the invariance classes returned by
 ``invariance_classes`` produces the *same* four-slot state no matter
 which of the four protocol bases is used to build it, which is the
 property that lets a single attack cover every sifted basis choice.
-The three-parameter family ``CloneParams(v, x, y)`` - column 0 equal to
-(v, x, ..., x), every other column constant y - is the symmetric member
-of that invariant set used by the optimizer; ``joint_distribution``
-gives its exact outcome tables in every pair of protocol bases.
+The three-parameter family ``CloneParams(v, x, y)`` - two distinct rows,
+read off by ``branch_rows`` - is the symmetric member of that invariant
+set used by the optimizer; ``joint_distribution`` gives its exact
+outcome tables in every pair of protocol bases.
 """
 from __future__ import annotations
 
@@ -46,6 +46,8 @@ class AmplitudeMatrix:
     a: np.ndarray
 
     def __post_init__(self):
+        if np.asarray(self.a).dtype.kind not in "iufc":
+            raise ValueError(f"amplitude matrix entries must be numbers, got {self.a!r}")
         a = np.array(self.a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"amplitude matrix must be square, got {a.shape}")
@@ -74,9 +76,7 @@ class CloneParams:
 
     def __post_init__(self):
         n = check_dim(self.dim)
-        v, x, y = float(self.v), float(self.x), float(self.y)
-        if not all(math.isfinite(t) for t in (v, x, y)):
-            raise ValueError(f"(v, x, y) must be finite, got {(v, x, y)}")
+        v, x, y = (finite_real(name, getattr(self, name)) for name in "vxy")
         if min(v, x, y) < 0.0:
             raise ValueError(f"(v, x, y) must be nonnegative, got {(v, x, y)}")
         total = v * v + (n - 1) * x * x + n * (n - 1) * y * y
@@ -93,19 +93,24 @@ class CloneParams:
         return CloneParams(n, 1.0, 0.0, 0.0)
 
 
-def params_to_matrix(p: CloneParams) -> AmplitudeMatrix:
-    a = np.full((p.dim, p.dim), p.y, dtype=complex)
-    a[0, 0] = p.v
-    a[1:, 0] = p.x
-    return AmplitudeMatrix(a)
+def branch_rows(p: CloneParams | AmplitudeMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the distinct amplitude rows and how many branches share each.
 
-
-def _coerce_matrix(p: CloneParams | AmplitudeMatrix) -> np.ndarray:
+    ``CloneParams`` has two, (v, y, ..., y) for branch 0 and (x, y, ..., y)
+    for each of the N - 1 shifted branches, so counts is (1, N - 1).  An
+    ``AmplitudeMatrix`` gives its N rows in branch order, each counted once.
+    """
     if isinstance(p, CloneParams):
-        return params_to_matrix(p).a
+        rows = np.full((2, p.dim), p.y)
+        rows[:, 0] = p.v, p.x
+        return rows, np.array([1, p.dim - 1])
     if isinstance(p, AmplitudeMatrix):
-        return p.a
+        return p.a, np.ones(p.dim, dtype=int)
     raise TypeError(f"expected CloneParams or AmplitudeMatrix, got {type(p)!r}")
+
+
+def params_to_matrix(p: CloneParams) -> AmplitudeMatrix:
+    return AmplitudeMatrix(np.repeat(*branch_rows(p), axis=0))
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,9 @@ def fidelity_disturbances(p: CloneParams | AmplitudeMatrix) -> tuple[float, np.n
     F is the probability that the key copy is undisturbed and D_m the
     probability of a label shift by m; F + sum(D) = 1.
     """
-    a = _coerce_matrix(p)
-    row_weights = np.sum(np.abs(a) ** 2, axis=1)
-    return float(row_weights[0]), row_weights[1:].astype(float)
+    rows, counts = branch_rows(p)
+    row_weights = np.repeat(np.sum(np.abs(rows) ** 2, axis=1), counts)
+    return float(row_weights[0]), row_weights[1:]
 
 
 def werner_noise_fraction(p: CloneParams) -> float:

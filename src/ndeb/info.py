@@ -12,8 +12,8 @@ m, her best symbol guess is off by d with probability
         = |N * ifft(a[m])[d]|^2 / (N * w_m),    w_m = sum_n |a[m, n]|^2
 
 so her information is log2(N) minus the branch-averaged entropy of
-those conditionals.  ``eve_info`` evaluates this for stacks of matrices
-at once; every other eavesdropper quantity here is a call on it.
+those conditionals, summed over the distinct rows of ``branch_rows``
+weighted by the number of branches that share each.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .cloner import AmplitudeMatrix, CloneParams, _coerce_matrix, fidelity_disturbances
+from .cloner import AmplitudeMatrix, CloneParams, branch_rows, fidelity_disturbances
 
 PROB_ATOL = 1e-10
 
@@ -53,9 +53,7 @@ def entropy(dist) -> float:
 def i_ab(p: CloneParams | AmplitudeMatrix) -> float:
     """Mutual information of the sifted key symbols, in bits."""
     fid, dist = fidelity_disturbances(p)
-    probs = np.concatenate(([fid], dist))
-    n = probs.size
-    return math.log2(n) - entropy(probs)
+    return math.log2(dist.size + 1) - entropy(np.concatenate(([fid], dist)))
 
 
 def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +73,11 @@ def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
     return w, p
 
 
-def eve_info(rows) -> np.ndarray:
-    """log2 N - sum_m w_m * H(p_m) for each (M, N) block of ``rows``."""
-    w, p = eve_branches(rows)
-    return math.log2(p.shape[-1]) - np.sum(w * _entropy_bits(p), axis=-1)
-
-
 def eve_conditional(p: CloneParams | AmplitudeMatrix, m: int) -> np.ndarray:
     """Distribution of (Alice's symbol - Eve's estimate) within branch m."""
-    a = _coerce_matrix(p)
-    weight, cond = eve_branches(a[m % a.shape[0]])
+    rows, counts = branch_rows(p)
+    row_of_branch = np.repeat(np.arange(counts.size), counts)
+    weight, cond = eve_branches(rows[row_of_branch[m % row_of_branch.size]])
     if weight <= 0.0:
         raise ValueError(f"branch {m} has zero weight")
     return cond
@@ -92,4 +85,7 @@ def eve_conditional(p: CloneParams | AmplitudeMatrix, m: int) -> np.ndarray:
 
 def i_ae(p: CloneParams | AmplitudeMatrix) -> float:
     """Eavesdropper's information about Alice's sifted symbol, in bits."""
-    return float(eve_info(_coerce_matrix(p)))
+    rows, counts = branch_rows(p)
+    w, cond = eve_branches(rows)
+    # fsum rounds once, so two rows with counts and the N rows they stand for agree
+    return math.log2(rows.shape[-1]) - math.fsum(counts * w * _entropy_bits(cond))

@@ -43,18 +43,19 @@ def clone_family_at_fidelity(n: int, fidelity: float, y: float) -> CloneParams:
     Solves v^2 = F - (N-1) y^2 and x^2 = (1-F)/(N-1) - (N-1) y^2 and
     clamps roundoff-negative squares (never below -1e-12) to zero.
     """
-    return _family(check_dim(n), finite_real("fidelity", fidelity), y)
+    n, fidelity, y = check_dim(n), finite_real("fidelity", fidelity), finite_real("y", y)
+    return CloneParams(n, *_family(n, fidelity, y), y)
 
 
-def _family(n: int, fidelity: float, y: float) -> CloneParams:
-    """``clone_family_at_fidelity`` on checked arguments, for the optimizer's inner loop."""
+def _family(n: int, fidelity: float, y: float) -> tuple[float, float]:
+    """(v, x) of ``clone_family_at_fidelity`` on checked arguments, as plain floats."""
     v2 = fidelity - (n - 1) * y * y
     x2 = (1.0 - fidelity) / (n - 1) - (n - 1) * y * y
     if v2 < -FEAS_TOL or x2 < -FEAS_TOL:
         raise ValueError(
             f"y={y} is infeasible at fidelity {fidelity} (v^2={v2}, x^2={x2})"
         )
-    return CloneParams(n, math.sqrt(max(v2, 0.0)), math.sqrt(max(x2, 0.0)), y)
+    return math.sqrt(max(v2, 0.0)), math.sqrt(max(x2, 0.0))
 
 
 def _eve_slope(n: int, fidelity: float, y: float) -> float:
@@ -65,9 +66,9 @@ def _eve_slope(n: int, fidelity: float, y: float) -> float:
     on the rest; they add k w dP/dy log2((N-1)P/(1-P)), where
     w dP/dy = 2(N-1)(c+(N-1)y)(c-y)/(N c).  A zero c, only at y_max, is -inf.
     """
-    p = _family(n, fidelity, y)
+    v, x = _family(n, fidelity, y)
     slope = 0.0
-    for c, k in ((p.v, 1), (p.x, n - 1)):
+    for c, k in ((v, 1), (x, n - 1)):
         if c == 0.0:
             return -math.inf
         top, gap = c + (n - 1) * y, c - y
@@ -187,7 +188,7 @@ def crossover_fidelity(n: int) -> ThresholdRecord:
 
     def g(fid: float) -> float:
         params, eve = max_eve_info(n, fid)
-        seen[fid] = params, i_ab(_family(n, fid, 0.0)) - eve
+        seen[fid] = params, i_ab(params) - eve
         return seen[fid][1]
 
     f_a = _brent(g, 1.0 / n + BRACKET_PAD, 1.0 - BRACKET_PAD)

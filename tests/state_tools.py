@@ -24,7 +24,7 @@ from ndeb.cloner import (
     AmplitudeMatrix,
     ClassPartition,
     CloneParams,
-    _coerce_matrix,
+    branch_rows,
 )
 from ndeb.qudit import (
     ATOL,
@@ -235,7 +235,7 @@ def union_find_classes(n: int, phis: Sequence[float], tol: float = CLASS_TOL) ->
 
 def build_attack_state(basis: BasisMatrix, amps: AmplitudeMatrix | CloneParams) -> StateVector:
     """Four-slot attack state sum_{m,n} a[m,n] B_RA(m,n) (x) B_BC(m,n)."""
-    a = _coerce_matrix(amps)
+    a = np.repeat(*branch_rows(amps), axis=0)
     n = basis.dim
     if a.shape[0] != n:
         raise ValueError(f"amplitude matrix is {a.shape[0]}x..., basis dim is {n}")

@@ -73,6 +73,25 @@ def test_clone_params_rejects_non_finite(slot, bad):
         CloneParams(3, *vxy)
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("bad", [True, "1", None, 1j], ids=["bool", "string", "none", "complex"])
+def test_clone_params_rejects_non_numeric_values(slot, bad):
+    vxy = [0.0, 0.0, 0.0]
+    vxy[slot] = bad
+    with pytest.raises(ValueError, match=f"{'vxy'[slot]} must be a finite number"):
+        CloneParams(2, *vxy)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[True, False], [False, False]], [["1", 0], [0, 0]], [[None, 1], [0, 0]]],
+    ids=["bool", "string", "object"],
+)
+def test_amplitude_matrix_rejects_non_numeric_entries(a):
+    with pytest.raises(ValueError, match="entries must be numbers"):
+        AmplitudeMatrix(a)
+
+
 def test_identity_params():
     p = CloneParams.identity(4)
     assert (p.v, p.x, p.y) == (1.0, 0.0, 0.0)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndeb.cloner import AmplitudeMatrix, CloneParams, params_to_matrix
-from ndeb.info import entropy, eve_conditional, eve_info, i_ab, i_ae
-from ndeb.thresholds import clone_family_at_fidelity
+from ndeb.cloner import AmplitudeMatrix, CloneParams, fidelity_disturbances, params_to_matrix
+from ndeb.info import entropy, eve_conditional, i_ab, i_ae
+from ndeb.thresholds import clone_family_at_fidelity, crossover_fidelity
 
 import born_oracle
 from strategies import clone_params
@@ -191,6 +191,35 @@ def test_info_accepts_amplitude_matrix_input():
     assert isinstance(m, AmplitudeMatrix)
 
 
+@pytest.mark.parametrize("point", ["clean", "crossover", "random"])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_two_row_and_full_matrix_routes_agree(n, point):
+    # A CloneParams is read as its two distinct rows, an AmplitudeMatrix as
+    # all N rows; both routes must give the same numbers.
+    if point == "clean":
+        p = CloneParams.identity(n)
+    elif point == "crossover":
+        rec = crossover_fidelity(n)
+        p = CloneParams(n, rec.v, rec.x, rec.y)
+    else:
+        p = CloneParams(n, *born_oracle.random_clone_params(n, np.random.default_rng(5100 + n)))
+    m = params_to_matrix(p)
+    fid, dist = fidelity_disturbances(p)
+    fid_m, dist_m = fidelity_disturbances(m)
+    assert abs(fid - fid_m) <= 1e-15
+    np.testing.assert_allclose(dist, dist_m, rtol=0.0, atol=1e-15)
+    assert abs(i_ab(p) - i_ab(m)) <= 1e-15
+    assert abs(i_ae(p) - i_ae(m)) <= 1e-15
+    for branch, weight in enumerate(np.concatenate(([fid], dist))):
+        if weight == 0.0:
+            for attack in (p, m):
+                with pytest.raises(ValueError, match="zero weight"):
+                    eve_conditional(attack, branch)
+        else:
+            got, want = eve_conditional(p, branch), eve_conditional(m, branch)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
 def test_info_rejects_other_types():
     with pytest.raises(TypeError):
         i_ab(np.eye(2))
@@ -213,13 +242,12 @@ def loop_i_ae(a):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_eve_info_on_a_stack_matches_per_matrix_i_ae(n):
+def test_i_ae_matches_the_exp_sum_loop(n):
     rng = np.random.default_rng(4410 + n)
     stack = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
     stack[2, 1] = 0.0  # a branch of zero weight
     stack /= np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))[:, None, None]
     expected = [loop_i_ae(a) for a in stack]
-    np.testing.assert_allclose(eve_info(stack), expected, atol=1e-12)
     np.testing.assert_allclose([i_ae(AmplitudeMatrix(a)) for a in stack], expected, atol=1e-12)
 
 

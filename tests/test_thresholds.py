@@ -22,7 +22,8 @@ from ndeb.thresholds import (
 )
 
 # The crossover fidelity decreases with N; in the large-N limit it
-# approaches 1/2 while the error-rate threshold approaches 50%.
+# approaches 1/2 while the error-rate threshold approaches 50%, as
+# F_A - 1/2 ~ 1/(2 log2 N) (a fit to the computed crossovers).
 CROSSOVER_LIMIT_LARGE_N = 0.5
 
 
@@ -64,6 +65,12 @@ def test_clone_family_rejects_infeasible_y():
         clone_family_at_fidelity(3, 0.8, y_max(3, 0.8) + 1e-6)
 
 
+@pytest.mark.parametrize("y", [math.nan, "0.1", True, None])
+def test_clone_family_rejects_bad_y(y):
+    with pytest.raises(ValueError, match="y must be a finite number"):
+        clone_family_at_fidelity(3, 0.8, y)
+
+
 def test_clone_family_y_zero_has_no_flat_tail():
     p = clone_family_at_fidelity(3, 0.8, 0.0)
     assert p.y == 0.0
@@ -77,7 +84,9 @@ def _two_row_eve_info(n, fid, ys):
     """I_AE along the fixed-fidelity family from its two distinct rows.
 
     Branch 0 is (v, y, ..., y) and counts once; each of the N-1 shifted
-    branches is (x, y, ..., y).
+    branches is (x, y, ..., y).  The layout is written out here, not read
+    from ``cloner.branch_rows``, so that the whole grid is one batch and
+    an independent statement of the family.
     """
     rows = np.empty((ys.size, 2, n))
     rows[:, :, 1:] = ys[:, None, None]
@@ -121,7 +130,10 @@ def test_max_eve_info_is_consistent(n, fid):
 def test_max_eve_info_beats_dense_grid(n, fid):
     _, val = max_eve_info(n, fid)
     ys = np.linspace(0.0, y_max(n, fid), 20001)
-    assert val >= _two_row_eve_info(n, fid, ys).max() - 1e-9
+    grid = _two_row_eve_info(n, fid, ys)
+    assert val >= grid.max() - 1e-9
+    for k in (0, 5000, 10000, 20000):
+        assert grid[k] == pytest.approx(i_ae(clone_family_at_fidelity(n, fid, ys[k])), abs=1e-12)
 
 
 def test_max_eve_info_at_unit_fidelity_is_zero():
@@ -287,6 +299,35 @@ def test_crossover_makes_few_attack_optimizations(monkeypatch):
 def test_nonlocality_covers_security_beyond_cli_cap(n):
     rec = crossover_fidelity(n)
     assert rec.f_thr >= rec.f_a
+
+
+def test_security_report_builds_few_clone_params(monkeypatch):
+    # the optimizer's inner loop works on (v, x) floats; only one attack
+    # per evaluation of g(F) becomes a CloneParams
+    built = []
+    check = CloneParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(CloneParams, "__post_init__", counted)
+    security_report(2, 16)
+    assert len(built) <= 200
+
+
+def test_crossover_large_n_law():
+    # (F_A - 1/2) * 2 log2 N rises toward 1: 1 - F_A ~ 1/2 - 1/(2 log2 N)
+    ns = (10 ** 3, 10 ** 4, 10 ** 5)
+    scaled = [(crossover_fidelity(n).f_a - 0.5) * 2.0 * math.log2(n) for n in ns]
+    assert scaled[0] < scaled[1] < scaled[2] < 1.0
+    assert abs(scaled[1] - 1.0) <= 0.005
+    assert abs(scaled[2] - 1.0) <= 0.005
+
+
+def test_visibility_threshold_large_n_limit():
+    # Collins, Gisin, Linden, Massar and Popescu, PRL 88, 040404 (2002)
+    assert visibility_threshold(10 ** 5) == pytest.approx(0.673443, abs=1e-6)
 
 
 def test_crossover_rejects_dim_one():
