@@ -1,7 +1,7 @@
 """N-level entanglement-based QKD: cloning attacks, thresholds, simulation."""
 
-from .qudit import BasisMatrix, StateVector, optimal_angles, phi_basis
-from .bell import BellIndex, bell_overlap, bell_state, overlap_matrix
+from .qudit import optimal_angles, phi_basis
+from .bell import BellIndex, bell_overlap, overlap_matrix
 from .cloner import (
     AmplitudeMatrix,
     ClassPartition,
@@ -27,16 +27,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeMatrix",
-    "BasisMatrix",
     "BellIndex",
     "ClassPartition",
     "CloneParams",
     "ProtocolConfig",
     "SimReport",
-    "StateVector",
     "ThresholdRecord",
     "bell_overlap",
-    "bell_state",
     "conjugate_pairs",
     "crossover_fidelity",
     "empirical_info",

@@ -1,6 +1,7 @@
-"""Generalized two-qudit Bell states over phase-gradient bases.
+"""Overlaps of the generalized two-qudit Bell states over phase-gradient bases.
 
-Two label conventions appear, distinguished by a ``variant`` tag:
+The states themselves are never built here.  Two label conventions
+appear, distinguished by a ``variant`` tag:
 
 * "RA": conjugate basis on the first slot, phase +2*pi*k*n/N, i.e.
   sum_k exp(+2j*pi*k*n/N) |conj(psi_k)> |psi_{k+m}> / sqrt(N)
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import BasisMatrix, StateVector, check_dim, finite_real, phi_basis, strict_int
+from .qudit import check_dim, finite_real, strict_int
 
 VARIANTS = ("RA", "BC")
 
@@ -41,22 +42,6 @@ class BellIndex:
         return BellIndex(self.m % dim, self.n % dim, self.variant)
 
 
-def bell_state(basis: BasisMatrix, idx: BellIndex) -> StateVector:
-    """Bell state for ``idx`` over the columns of ``basis``."""
-    n_dim = basis.dim
-    m, n = idx.m % n_dim, idx.n % n_dim
-    u = basis.u
-    k = np.arange(n_dim)
-    shifted = u[:, (k + m) % n_dim]
-    if idx.variant == "RA":
-        phases = np.exp(2j * math.pi * k * n / n_dim)
-        tensor = np.einsum("k,ik,jk->ij", phases, u.conj(), shifted)
-    else:
-        phases = np.exp(-2j * math.pi * k * n / n_dim)
-        tensor = np.einsum("k,ik,jk->ij", phases, u, shifted.conj())
-    return StateVector((n_dim, n_dim), tensor.reshape(-1) / math.sqrt(n_dim))
-
-
 def overlap_matrix(n: int, phi1: float, phi2: float) -> np.ndarray:
     """S[j, r]: every RA-family overlap between angle phi1 and angle phi2.
 
@@ -74,29 +59,14 @@ def overlap_matrix(n: int, phi1: float, phi2: float) -> np.ndarray:
     return np.exp(1j * (-p * dphi + q[:, None, :] * (dphi + theta))).sum(axis=-1) / n
 
 
-def bell_overlap(
-    n: int,
-    phi1: float,
-    phi2: float,
-    idx1: BellIndex,
-    idx2: BellIndex,
-    mode: str = "closed_form",
-) -> complex:
-    """<B(phi1, idx1) | B(phi2, idx2)> for same-variant index pairs.
-
-    mode "closed_form" reads one entry of ``overlap_matrix``;
-    mode "brute_force" builds both vectors and contracts them.
-    """
+def bell_overlap(n: int, phi1: float, phi2: float, idx1: BellIndex, idx2: BellIndex) -> complex:
+    """<B(phi1, idx1) | B(phi2, idx2)> for same-variant index pairs: one entry of
+    ``overlap_matrix``, conjugated for the BC variant."""
     n = check_dim(n)
     phi1, phi2 = finite_real("phi1", phi1), finite_real("phi2", phi2)
     if idx1.variant != idx2.variant:
         raise ValueError("cannot mix RA and BC variants in one overlap")
     idx1, idx2 = idx1.normalized(n), idx2.normalized(n)
-    if mode == "brute_force":
-        b1, b2 = phi_basis(n, phi1), phi_basis(n, phi2)
-        return bell_state(b1, idx1).inner(bell_state(b2, idx2))
-    if mode != "closed_form":
-        raise ValueError(f"unknown mode {mode!r}")
     if idx1.n != idx2.n:
         return 0.0 + 0.0j
     value = complex(overlap_matrix(n, phi1, phi2)[idx1.n, (idx2.m - idx1.m) % n])

@@ -5,7 +5,7 @@ Subcommands:
     report    crossover vs local-realism thresholds per dimension
     simulate  run protocol rounds from a JSON config file
     classes   invariance classes of the amplitude matrix for given angles
-    overlap   a single Bell-family overlap, both evaluation modes
+    overlap   a single Bell-family overlap, in closed form
 
 Machine-readable output is wrapped in an envelope with schema_version
 "1"; CSV output carries the same tag in a leading comment line.  Floats
@@ -178,8 +178,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     i, j, k, l = _parse_indices(args.idx)
     idx1 = BellIndex(i, j, args.variant)
     idx2 = BellIndex(k, l, args.variant)
-    closed = bell_overlap(args.n, phi1, phi2, idx1, idx2, mode="closed_form")
-    brute = bell_overlap(args.n, phi1, phi2, idx1, idx2, mode="brute_force")
+    closed = bell_overlap(args.n, phi1, phi2, idx1, idx2)
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -188,11 +187,10 @@ def cmd_overlap(args: argparse.Namespace) -> int:
             "indices": [i, j, k, l],
             "variant": args.variant,
             "closed_form": {"re": closed.real, "im": closed.imag},
-            "brute_force": {"re": brute.real, "im": brute.imag},
         }
         print(json.dumps(_envelope("overlap", payload), indent=2))
         return 0
-    print(f"closed_form={_fmt_complex(closed)} brute_force={_fmt_complex(brute)}")
+    print(f"closed_form={_fmt_complex(closed)}")
     return 0
 
 
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--format", choices=("text", "json"), default="text")
     p_cls.set_defaults(func=cmd_classes)
 
-    p_ov = sub.add_parser("overlap", help="one Bell-family overlap, both modes")
+    p_ov = sub.add_parser("overlap", help="one Bell-family overlap, in closed form")
     p_ov.add_argument("--n", type=int, required=True)
     p_ov.add_argument("--phi1", type=float, default=None, help="first angle in radians")
     p_ov.add_argument("--phi2", type=float, default=None, help="second angle in radians")

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import overlap_matrix
-from .qudit import ATOL, check_dim, finite_real
+from .qudit import ATOL, check_dim, finite_real, number_array
 
 CLASS_TOL = 1e-9
 
@@ -46,9 +46,7 @@ class AmplitudeMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        if np.asarray(self.a).dtype.kind not in "iufc":
-            raise ValueError(f"amplitude matrix entries must be numbers, got {self.a!r}")
-        a = np.array(self.a, dtype=complex)
+        a = np.array(number_array("amplitude matrix", self.a, "iufc"), dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"amplitude matrix must be square, got {a.shape}")
         check_dim(a.shape[0])

@@ -22,12 +22,13 @@ import math
 import numpy as np
 
 from .cloner import AmplitudeMatrix, CloneParams, branch_rows, fidelity_disturbances
+from .qudit import number_array, strict_int
 
 PROB_ATOL = 1e-10
 
 
 def _as_prob_dist(dist) -> np.ndarray:
-    p = np.asarray(dist, dtype=float).reshape(-1)
+    p = np.asarray(number_array("distribution", dist, "iuf"), dtype=float).reshape(-1)
     if p.size == 0:
         raise ValueError("empty probability distribution")
     if not np.isfinite(p).all():
@@ -74,7 +75,8 @@ def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eve_conditional(p: CloneParams | AmplitudeMatrix, m: int) -> np.ndarray:
-    """Distribution of (Alice's symbol - Eve's estimate) within branch m."""
+    """Distribution of (Alice's symbol - Eve's estimate) within branch m (mod N)."""
+    m = strict_int("m", m)
     rows, counts = branch_rows(p)
     row_of_branch = np.repeat(np.arange(counts.size), counts)
     weight, cond = eve_branches(rows[row_of_branch[m % row_of_branch.size]])

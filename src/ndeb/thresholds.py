@@ -155,6 +155,7 @@ def visibility_threshold(n: int) -> float:
 
 def fidelity_threshold(n: int) -> float:
     """Fidelity of the isotropic mixture at the local-realism visibility."""
+    n = check_dim(n)
     return (n - 1) / n * visibility_threshold(n) + 1.0 / n
 
 

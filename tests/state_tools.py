@@ -1,14 +1,19 @@
-"""State algebra that only the tests use, built on the library's types.
+"""State algebra that only the tests use, built on ``ndeb.qudit.phi_basis``.
 
-Density matrices and partial traces, basis conjugation and relabelings,
-the maximally entangled pair, the four-slot attack state, its reduced
-two-slot state, the Werner state, the protocol measurement bases, the
-outcome tables by an explicit Born-rule contraction, dense N^2 x N^2
-Bell Gram matrices and the union-find invariance-class oracle live here
-rather than in ``ndeb``: the library computes the same quantities in
-closed form, and these slower, more literal routes are what the tests
-compare it with.  Unlike ``born_oracle`` they reuse ``ndeb``'s states
-and bases.
+Pure states and bases as types, the Bell states built over a basis and
+their brute-force overlaps, density matrices and partial traces, basis
+conjugation and relabelings, the maximally entangled pair, the
+four-slot attack state, its reduced two-slot state, the Werner state,
+the protocol measurement bases, the outcome tables by an explicit
+Born-rule contraction, dense N^2 x N^2 Bell Gram matrices and the
+union-find invariance-class oracle live here rather than in ``ndeb``:
+the library computes the same quantities in closed form, and these
+slower, more literal routes are what the tests compare it with.
+Unlike ``born_oracle`` they take the protocol bases from the library's
+``phi_basis``, which stays their one definition.
+
+Multi-slot amplitudes are stored flat in row-major slot order, so the
+amplitude of |i>|j> sits at index i*N + j.
 """
 import functools
 import math
@@ -17,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ndeb.bell import BellIndex, bell_state
+from ndeb.bell import BellIndex
 from ndeb.cloner import (
     CLASS_TOL,
     PARTNER,
@@ -26,19 +31,47 @@ from ndeb.cloner import (
     CloneParams,
     branch_rows,
 )
-from ndeb.qudit import (
-    ATOL,
-    BasisMatrix,
-    StateVector,
-    check_dim,
-    optimal_angles,
-    phi_basis,
-)
+from ndeb.qudit import ATOL, check_dim, finite_real, optimal_angles, phi_basis
 
 EIG_ATOL = 1e-10
 
 
 # ---------------------------------------------------------------- states
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Pure state on an ordered tuple of qudit slots."""
+
+    dims: tuple[int, ...]
+    amps: np.ndarray
+
+    def __post_init__(self):
+        dims = tuple(check_dim(d) for d in self.dims)
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        if amps.size != math.prod(dims):
+            raise ValueError(
+                f"amplitude vector has {amps.size} entries, expected {math.prod(dims)}"
+            )
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "amps", _frozen(amps))
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amps))
+
+    def is_normalized(self, atol: float = ATOL) -> bool:
+        return abs(self.norm() - 1.0) <= atol
+
+    def inner(self, other: "StateVector") -> complex:
+        """<self|other>."""
+        if self.dims != other.dims:
+            raise ValueError(f"slot mismatch: {self.dims} vs {other.dims}")
+        return complex(np.vdot(self.amps, other.amps))
 
 
 @dataclass(frozen=True)
@@ -119,6 +152,34 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 # ---------------------------------------------------------------- bases
 
 
+@dataclass(frozen=True)
+class BasisMatrix:
+    """Unitary matrix whose columns are basis kets; ``label`` is a free tag."""
+
+    dim: int
+    u: np.ndarray
+    label: str = ""
+
+    def __post_init__(self):
+        n = check_dim(self.dim)
+        u = np.array(self.u, dtype=complex)
+        if u.shape != (n, n):
+            raise ValueError(f"basis matrix must be {n}x{n}, got {u.shape}")
+        if not np.allclose(u.conj().T @ u, np.eye(n), atol=ATOL):
+            raise ValueError("basis matrix is not unitary within 1e-12")
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "u", _frozen(u))
+
+    def column(self, j: int) -> np.ndarray:
+        return self.u[:, j % self.dim]
+
+
+def phi_basis_matrix(n: int, phase: float) -> BasisMatrix:
+    """``ndeb.qudit.phi_basis(n, phase)`` as a ``BasisMatrix``."""
+    u = phi_basis(n, phase)
+    return BasisMatrix(n, u, label=f"phi={float(phase):.10g}")
+
+
 def conjugate_basis(b: BasisMatrix) -> BasisMatrix:
     """Entrywise complex conjugate of ``b`` (columns keep their labels)."""
     return BasisMatrix(b.dim, b.u.conj(), label=f"conj({b.label})")
@@ -169,6 +230,34 @@ def basis_relabeling(a: BasisMatrix, b: BasisMatrix, atol: float = 1e-10) -> lis
 # ---------------------------------------------------------------- Bell overlaps
 
 
+def bell_state(basis: BasisMatrix, idx: BellIndex) -> StateVector:
+    """Bell state for ``idx`` over the columns of ``basis``."""
+    n_dim = basis.dim
+    m, n = idx.m % n_dim, idx.n % n_dim
+    u = basis.u
+    k = np.arange(n_dim)
+    shifted = u[:, (k + m) % n_dim]
+    if idx.variant == "RA":
+        phases = np.exp(2j * math.pi * k * n / n_dim)
+        tensor = np.einsum("k,ik,jk->ij", phases, u.conj(), shifted)
+    else:
+        phases = np.exp(-2j * math.pi * k * n / n_dim)
+        tensor = np.einsum("k,ik,jk->ij", phases, u, shifted.conj())
+    return StateVector((n_dim, n_dim), tensor.reshape(-1) / math.sqrt(n_dim))
+
+
+def brute_force_overlap(
+    n: int, phi1: float, phi2: float, idx1: BellIndex, idx2: BellIndex
+) -> complex:
+    """<B(phi1, idx1) | B(phi2, idx2)> by building both vectors and contracting them."""
+    n = check_dim(n)
+    phi1, phi2 = finite_real("phi1", phi1), finite_real("phi2", phi2)
+    if idx1.variant != idx2.variant:
+        raise ValueError("cannot mix RA and BC variants in one overlap")
+    b1, b2 = phi_basis_matrix(n, phi1), phi_basis_matrix(n, phi2)
+    return bell_state(b1, idx1.normalized(n)).inner(bell_state(b2, idx2.normalized(n)))
+
+
 def bell_basis(basis: BasisMatrix, variant: str = "RA") -> np.ndarray:
     """All N^2 Bell vectors as columns; (m, n) maps to column m*N + n."""
     n = basis.dim
@@ -182,7 +271,7 @@ def bell_basis(basis: BasisMatrix, variant: str = "RA") -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def phi_bell_basis(n: int, phi: float) -> np.ndarray:
     """``bell_basis`` over ``phi_basis(n, phi)``, read-only and cached."""
-    cols = bell_basis(phi_basis(n, phi))
+    cols = bell_basis(phi_basis_matrix(n, phi))
     cols.setflags(write=False)
     return cols
 
@@ -253,7 +342,7 @@ def build_attack_state(basis: BasisMatrix, amps: AmplitudeMatrix | CloneParams) 
 def traced_reduced_state(p: CloneParams) -> DensityMatrix:
     """The (reference, clone_a) state: the attack state in the first protocol
     basis with the eavesdropper's two slots traced out."""
-    psi = build_attack_state(phi_basis(p.dim, 0.0), p)
+    psi = build_attack_state(phi_basis_matrix(p.dim, 0.0), p)
     return partial_trace(density(psi), keep=(0, 1))
 
 
@@ -300,7 +389,7 @@ def alice_measurement_basis(n: int, index: int) -> BasisMatrix:
     if index not in (0, 1, 2, 3):
         raise ValueError(f"basis index must be in 0..3, got {index}")
     angles = optimal_angles(n)
-    return conjugate_basis(phi_basis(n, angles[PARTNER[index]]))
+    return conjugate_basis(phi_basis_matrix(n, angles[PARTNER[index]]))
 
 
 def bob_measurement_basis(n: int, index: int) -> BasisMatrix:
@@ -308,7 +397,7 @@ def bob_measurement_basis(n: int, index: int) -> BasisMatrix:
     n = check_dim(n)
     if index not in (0, 1, 2, 3):
         raise ValueError(f"basis index must be in 0..3, got {index}")
-    return phi_basis(n, optimal_angles(n)[index])
+    return phi_basis_matrix(n, optimal_angles(n)[index])
 
 
 def state_tables(rho: DensityMatrix) -> np.ndarray:

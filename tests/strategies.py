@@ -1,6 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 import math
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -31,3 +32,25 @@ def protocol_configs(draw):
         attack=attack,
         seed=draw(st.integers(0, 2 ** 64 - 1)),
     )
+
+
+def bad_scalars(kind):
+    """Scalars that an argument of ``kind`` must reject with ValueError.
+
+    Every kind rejects bools (Python and numpy), strings, None, nan and
+    +-inf.  "real" and "int" also reject complex numbers, and "int"
+    rejects every float, integral or not.  "complex" is a matrix entry,
+    for which floats and complex numbers are valid.
+    """
+    bad = [
+        st.booleans(),
+        st.sampled_from([np.True_, np.False_]),
+        st.text(max_size=4),
+        st.none(),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ]
+    if kind in ("real", "int"):
+        bad.append(st.complex_numbers(allow_nan=False, allow_infinity=False))
+    if kind == "int":
+        bad.append(st.floats(allow_nan=False, allow_infinity=False))
+    return st.one_of(bad)

@@ -21,7 +21,7 @@ from ndeb.cloner import (
     werner_noise_fraction,
 )
 from ndeb.info import eve_conditional, i_ab, i_ae
-from ndeb.qudit import optimal_angles, phi_basis
+from ndeb.qudit import optimal_angles
 from ndeb.sim import ProtocolConfig, run_simulation
 from ndeb.thresholds import max_eve_info, security_report, y_max
 
@@ -30,8 +30,10 @@ from state_tools import (
     alice_measurement_basis,
     bob_measurement_basis,
     brute_force_gram,
+    brute_force_overlap,
     build_attack_state,
     expand_overlap_table,
+    phi_basis_matrix,
     reduced_state_ra,
     state_tables,
     traced_reduced_state,
@@ -139,9 +141,8 @@ def test_criterion_05_overlap_dual_route():
                     one = bell_overlap(
                         n, phi1, phi2, BellIndex(int(i), int(j)), BellIndex(int(k), int(l))
                     )
-                    two = bell_overlap(
-                        n, phi1, phi2, BellIndex(int(i), int(j)), BellIndex(int(k), int(l)),
-                        mode="brute_force",
+                    two = brute_force_overlap(
+                        n, phi1, phi2, BellIndex(int(i), int(j)), BellIndex(int(k), int(l))
                     )
                     assert abs(one - two) < 1e-12
 
@@ -171,7 +172,7 @@ def test_criterion_06_invariance_classes_and_basis_independence():
             a /= np.linalg.norm(a.reshape(-1))
             amps = AmplitudeMatrix(a)
             states = [
-                build_attack_state(phi_basis(n, float(phase)), amps).amps
+                build_attack_state(phi_basis_matrix(n, float(phase)), amps).amps
                 for phase in optimal_angles(n)
             ]
             for other in states[1:]:

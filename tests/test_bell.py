@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ndeb.bell import (
-    BellIndex,
-    bell_overlap,
-    bell_state,
-    overlap_matrix,
-)
-from ndeb.qudit import optimal_angles, phi_basis
+from ndeb.bell import BellIndex, bell_overlap, overlap_matrix
+from ndeb.qudit import optimal_angles
 
 import born_oracle
 from state_tools import (
+    BasisMatrix,
     bell_basis,
+    bell_state,
     brute_force_gram,
+    brute_force_overlap,
     cyclic_shift,
     expand_overlap_table,
     max_entangled,
+    phi_basis_matrix,
 )
 
 RNG = np.random.default_rng(77001)
@@ -64,7 +63,7 @@ def test_bell_index_accepts_numpy_ints():
 @pytest.mark.parametrize("variant", ["RA", "BC"])
 @pytest.mark.parametrize("phase", [0.0, 0.37])
 def test_bell_state_matches_loop_oracle(n, variant, phase):
-    basis = phi_basis(n, phase)
+    basis = phi_basis_matrix(n, phase)
     u = basis.u
     for m in range(n):
         for nn in range(n):
@@ -76,13 +75,11 @@ def test_bell_state_matches_loop_oracle(n, variant, phase):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("variant", ["RA", "BC"])
 def test_bell_basis_is_orthonormal(n, variant):
-    for u in (phi_basis(n, 0.0), phi_basis(n, 0.37)):
+    for u in (phi_basis_matrix(n, 0.0), phi_basis_matrix(n, 0.37)):
         cols = bell_basis(u, variant)
         gram = cols.conj().T @ cols
         np.testing.assert_allclose(gram, np.eye(n * n), atol=1e-12)
     # also over a generic (non-family) unitary
-    from ndeb.qudit import BasisMatrix
-
     b = BasisMatrix(n, random_unitary(n, RNG))
     cols = bell_basis(b, variant)
     np.testing.assert_allclose(cols.conj().T @ cols, np.eye(n * n), atol=1e-12)
@@ -91,15 +88,13 @@ def test_bell_basis_is_orthonormal(n, variant):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("variant", ["RA", "BC"])
 def test_zero_index_state_is_max_entangled_for_any_unitary(n, variant):
-    from ndeb.qudit import BasisMatrix
-
     b = BasisMatrix(n, random_unitary(n, RNG))
     got = bell_state(b, BellIndex(0, 0, variant))
     np.testing.assert_allclose(got.amps, max_entangled(n).amps, atol=1e-12)
 
 
 def test_n2_computational_family_members():
-    b = phi_basis(2, 0.0)
+    b = phi_basis_matrix(2, 0.0)
     singlet = bell_state(b, BellIndex(1, 1, "RA")).amps
     # (|10> - |01>)/sqrt(2) after expanding the phase sum
     np.testing.assert_allclose(
@@ -114,7 +109,7 @@ def test_shift_operator_eigenstructure(n, phase_index):
     # with eigenvalue exp(-2j*pi*n/N): the pair state only feels the
     # phase label, not the shift label.
     phase = float(optimal_angles(n)[phase_index])
-    basis = phi_basis(n, phase)
+    basis = phi_basis_matrix(n, phase)
     s = cyclic_shift(n)
     op = np.kron(s.conj(), s)
     for m in range(n):
@@ -140,16 +135,14 @@ def test_overlap_modes_agree_on_random_angles(n):
                         idx1 = BellIndex(i, j)
                         idx2 = BellIndex(k, l)
                         closed = bell_overlap(n, phi1, phi2, idx1, idx2)
-                        brute = bell_overlap(
-                            n, phi1, phi2, idx1, idx2, mode="brute_force"
-                        )
+                        brute = brute_force_overlap(n, phi1, phi2, idx1, idx2)
                         assert abs(closed - brute) < 1e-12
 
 
 def test_overlap_phase_index_is_conserved():
     val = bell_overlap(3, 0.1, 0.9, BellIndex(0, 0), BellIndex(0, 1))
     assert val == 0.0 + 0.0j
-    brute = bell_overlap(3, 0.1, 0.9, BellIndex(0, 0), BellIndex(0, 1), "brute_force")
+    brute = brute_force_overlap(3, 0.1, 0.9, BellIndex(0, 0), BellIndex(0, 1))
     assert abs(brute) < 1e-12
 
 
@@ -163,11 +156,6 @@ def test_overlap_mixed_variants_raise():
         bell_overlap(2, 0.0, 0.1, BellIndex(0, 0, "RA"), BellIndex(0, 0, "BC"))
 
 
-def test_overlap_unknown_mode_raises():
-    with pytest.raises(ValueError):
-        bell_overlap(2, 0.0, 0.1, BellIndex(0, 0), BellIndex(0, 0), mode="magic")
-
-
 def test_bc_overlap_is_conjugate_of_ra():
     n, phi1, phi2 = 3, 0.21, 1.37
     for m1 in range(n):
@@ -178,9 +166,8 @@ def test_bc_overlap_is_conjugate_of_ra():
                     n, phi1, phi2, BellIndex(m1, j, "BC"), BellIndex(m2, j, "BC")
                 )
                 assert abs(bc - np.conj(ra)) < 1e-13
-                bc_brute = bell_overlap(
-                    n, phi1, phi2, BellIndex(m1, j, "BC"), BellIndex(m2, j, "BC"),
-                    mode="brute_force",
+                bc_brute = brute_force_overlap(
+                    n, phi1, phi2, BellIndex(m1, j, "BC"), BellIndex(m2, j, "BC")
                 )
                 assert abs(bc_brute - np.conj(ra)) < 1e-12
 
@@ -286,8 +273,8 @@ def test_overlaps_reject_non_finite_angles(bad):
         overlap_matrix(3, bad, 0.0)
     with pytest.raises(ValueError, match="phi2 must be a finite number"):
         overlap_matrix(3, 0.0, bad)
-    for mode in ("closed_form", "brute_force"):
+    for overlap in (bell_overlap, brute_force_overlap):
         with pytest.raises(ValueError, match="phi1 must be a finite number"):
-            bell_overlap(3, bad, 0.0, BellIndex(0, 1), BellIndex(1, 1), mode=mode)
+            overlap(3, bad, 0.0, BellIndex(0, 1), BellIndex(1, 1))
         with pytest.raises(ValueError, match="phi2 must be a finite number"):
-            bell_overlap(3, 0.0, bad, BellIndex(0, 1), BellIndex(1, 1), mode=mode)
+            overlap(3, 0.0, bad, BellIndex(0, 1), BellIndex(1, 1))

@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 
 import ndeb
 from ndeb import cli
-from ndeb.cli import _envelope, main, write_report
+from ndeb.bell import BellIndex
+from ndeb.cli import _envelope, _fmt_complex, main, write_report
 from ndeb.sim import ProtocolConfig, run_simulation
 
+from state_tools import brute_force_overlap
 from strategies import protocol_configs
 
 
@@ -176,7 +178,7 @@ def test_overlap_identity_text(capsys):
         capsys, "overlap", "--n", "2", "--phi1", "0", "--phi2", "0", "--idx", "0,0,0,0"
     )
     assert rc == 0
-    assert out.strip() == "closed_form=1+0j brute_force=1+0j"
+    assert out.strip() == "closed_form=1+0j"
 
 
 def test_overlap_modes_agree_in_text(capsys):
@@ -185,8 +187,8 @@ def test_overlap_modes_agree_in_text(capsys):
         "--idx", "1,2,2,2",
     )
     assert rc == 0
-    closed, brute = out.strip().split()
-    assert closed.split("=")[1] == brute.split("=")[1]
+    brute = brute_force_overlap(3, 0.2, 1.1, BellIndex(1, 2), BellIndex(2, 2))
+    assert out.strip() == f"closed_form={_fmt_complex(brute)}"
 
 
 def test_overlap_json_payload(capsys):
@@ -196,9 +198,32 @@ def test_overlap_json_payload(capsys):
     )
     assert rc == 0
     payload = json.loads(out)["payload"]
+    assert set(payload) == {"n", "phi1", "phi2", "indices", "variant", "closed_form"}
     assert payload["variant"] == "BC"
-    for part in ("re", "im"):
-        assert abs(payload["closed_form"][part] - payload["brute_force"][part]) < 1e-12
+    assert payload["indices"] == [0, 1, 2, 1]
+
+
+# The two overlap commands of the README.
+README_OVERLAPS = [
+    ["--n", "3", "--phi1", "0.2", "--phi2", "1.1", "--idx", "1,2,2,2"],
+    ["--n", "4", "--phi1-index", "0", "--phi2-index", "2", "--idx", "0,1,2,1",
+     "--variant", "BC"],
+]
+
+
+@pytest.mark.parametrize("argv", README_OVERLAPS, ids=["n3-text", "n4-bc-json"])
+def test_overlap_closed_form_matches_brute_force(capsys, argv):
+    rc, out, err = run_cli(capsys, "overlap", *argv, "--format", "json")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)["payload"]
+    i, j, k, l = payload["indices"]
+    variant = payload["variant"]
+    brute = brute_force_overlap(
+        payload["n"], payload["phi1"], payload["phi2"],
+        BellIndex(i, j, variant), BellIndex(k, l, variant),
+    )
+    closed = complex(payload["closed_form"]["re"], payload["closed_form"]["im"])
+    assert abs(closed - brute) < 1e-12
 
 
 def test_overlap_requires_exactly_one_angle_source(capsys):

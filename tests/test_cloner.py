@@ -17,7 +17,7 @@ from ndeb.cloner import (
     params_to_matrix,
     werner_noise_fraction,
 )
-from ndeb.qudit import optimal_angles, phi_basis
+from ndeb.qudit import optimal_angles
 from ndeb.thresholds import crossover_fidelity
 
 import born_oracle
@@ -28,6 +28,7 @@ from state_tools import (
     build_attack_state,
     einsum_joint_distribution,
     max_entangled,
+    phi_basis_matrix,
     reduced_state_ra,
     tensor,
     traced_reduced_state,
@@ -84,12 +85,25 @@ def test_clone_params_rejects_non_numeric_values(slot, bad):
 
 @pytest.mark.parametrize(
     "a",
-    [[[True, False], [False, False]], [["1", 0], [0, 0]], [[None, 1], [0, 0]]],
-    ids=["bool", "string", "object"],
+    [[[True, False], [False, False]], [["1", 0], [0, 0]], [[None, 1], [0, 0]],
+     [[True, 0.0], [0.0, 0.0]], [[np.True_, 0.0], [0.0, 0.0]],
+     [np.array([1.0, 0.0]), [0.0, False]]],
+    ids=["bool", "string", "object", "bool-among-floats", "numpy-bool-among-floats",
+         "bool-beside-array-row"],
 )
 def test_amplitude_matrix_rejects_non_numeric_entries(a):
     with pytest.raises(ValueError, match="entries must be numbers"):
         AmplitudeMatrix(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[1, 0], [0, 0]], [[1.0, 0.0], [0.0, 0.0]], [[1j, 0], [0.0, 0]], np.full((2, 2), 0.5),
+     np.array([[1, 0], [0, 0]], dtype=np.int8), [np.array([1.0, 0.0]), (0.0, 0.0)]],
+    ids=["ints", "floats", "complex-among-numbers", "float-array", "int8-array", "mixed-rows"],
+)
+def test_amplitude_matrix_loads_numeric_entries(a):
+    np.testing.assert_array_equal(AmplitudeMatrix(a).a, np.asarray(a, dtype=complex))
 
 
 def test_identity_params():
@@ -136,14 +150,14 @@ def test_amplitude_matrix_rejects_non_finite(bad):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_attack_state_is_normalized(n):
     p = CloneParams(n, *born_oracle.random_clone_params(n, RNG))
-    psi = build_attack_state(phi_basis(n, 0.0), p)
+    psi = build_attack_state(phi_basis_matrix(n, 0.0), p)
     assert psi.dims == (n, n, n, n)
     assert psi.is_normalized()
 
 
 def test_identity_attack_state_is_double_pair():
     n = 3
-    psi = build_attack_state(phi_basis(n, 0.0), CloneParams.identity(n))
+    psi = build_attack_state(phi_basis_matrix(n, 0.0), CloneParams.identity(n))
     pair = max_entangled(n)
     np.testing.assert_allclose(psi.amps, tensor(pair, pair).amps, atol=1e-13)
 
@@ -153,21 +167,21 @@ def test_attack_state_matches_loop_oracle(n):
     p = CloneParams(n, *born_oracle.random_clone_params(n, RNG))
     a = params_to_matrix(p).a
     for phase in (0.0, float(optimal_angles(n)[2])):
-        got = build_attack_state(phi_basis(n, phase), p).amps
+        got = build_attack_state(phi_basis_matrix(n, phase), p).amps
         expected = born_oracle.four_slot_state(born_oracle.phi_matrix(n, phase), a)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_attack_state_dim_mismatch_raises():
     with pytest.raises(ValueError):
-        build_attack_state(phi_basis(3, 0.0), CloneParams.identity(2))
+        build_attack_state(phi_basis_matrix(3, 0.0), CloneParams.identity(2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_class_constant_matrix_gives_basis_independent_state(n):
     amps = class_constant_matrix(n, RNG)
     states = [
-        build_attack_state(phi_basis(n, float(phase)), amps).amps
+        build_attack_state(phi_basis_matrix(n, float(phase)), amps).amps
         for phase in optimal_angles(n)
     ]
     for other in states[1:]:
@@ -178,7 +192,7 @@ def test_class_constant_matrix_gives_basis_independent_state(n):
 def test_symmetric_family_is_basis_independent(n):
     p = CloneParams(n, *born_oracle.random_clone_params(n, RNG))
     states = [
-        build_attack_state(phi_basis(n, float(phase)), p).amps
+        build_attack_state(phi_basis_matrix(n, float(phase)), p).amps
         for phase in optimal_angles(n)
     ]
     for other in states[1:]:
@@ -192,8 +206,8 @@ def test_non_constant_matrix_is_basis_dependent():
     a[0, 1] = 1.0
     amps = AmplitudeMatrix(a)
     angles = optimal_angles(n)
-    s0 = build_attack_state(phi_basis(n, float(angles[0])), amps).amps
-    s1 = build_attack_state(phi_basis(n, float(angles[1])), amps).amps
+    s0 = build_attack_state(phi_basis_matrix(n, float(angles[0])), amps).amps
+    s1 = build_attack_state(phi_basis_matrix(n, float(angles[1])), amps).amps
     assert np.max(np.abs(s1 - s0)) > 1e-3
 
 
@@ -384,9 +398,9 @@ def test_alice_basis_is_partner_conjugate(n):
     angles = optimal_angles(n)
     for i in range(4):
         ua = alice_measurement_basis(n, i)
-        assert basis_relabeling(ua, phi_basis(n, float(angles[i]))) is not None
+        assert basis_relabeling(ua, phi_basis_matrix(n, float(angles[i]))) is not None
         np.testing.assert_allclose(
-            ua.u, phi_basis(n, float(angles[PARTNER[i]])).u.conj(), atol=1e-14
+            ua.u, phi_basis_matrix(n, float(angles[PARTNER[i]])).u.conj(), atol=1e-14
         )
 
 

@@ -112,6 +112,19 @@ def test_eve_conditional_zero_weight_branch_raises():
         eve_conditional(CloneParams.identity(3), 1)
 
 
+@pytest.mark.parametrize("m", [True, 1.5, 1.0, "1", None])
+def test_eve_conditional_rejects_non_int_branch(m):
+    with pytest.raises(ValueError, match="m must be an int"):
+        eve_conditional(CloneParams(2, 0.6, 0.8, 0.0), m)
+
+
+def test_eve_conditional_branch_wraps_mod_n():
+    p = CloneParams(3, *born_oracle.random_clone_params(3, RNG))
+    for m in range(-3, 3):
+        np.testing.assert_array_equal(eve_conditional(p, m + 3), eve_conditional(p, m))
+    np.testing.assert_array_equal(eve_conditional(p, np.int64(4)), eve_conditional(p, 1))
+
+
 def test_eve_conditional_explicit_peak_values():
     # branch 0 of the symmetric family peaks at offset 0 with
     # (v + (N-1) y)^2 / (N (v^2 + (N-1) y^2))

@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 
 from ndeb import sim
 from ndeb.cloner import PARTNER, CloneParams, joint_distribution
-from ndeb.qudit import optimal_angles, phi_basis
+from ndeb.qudit import optimal_angles
 from ndeb.sim import (
     ProtocolConfig,
     SimReport,
@@ -20,7 +20,7 @@ from ndeb.sim import (
 )
 from ndeb.thresholds import crossover_fidelity
 
-from state_tools import basis_relabeling, conjugate_basis
+from state_tools import basis_relabeling, conjugate_basis, phi_basis_matrix
 from strategies import clone_params, protocol_configs
 
 CROSSOVER3 = CloneParams(
@@ -74,8 +74,8 @@ def test_pairing_rederivation_passes(n):
     # the sifted pairs are exactly those whose clean tables are diagonal
     angles = optimal_angles(n)
     for i in range(4):
-        conj_i = conjugate_basis(phi_basis(n, angles[i]))
-        assert basis_relabeling(conj_i, phi_basis(n, angles[PARTNER[i]])) is not None, i
+        conj_i = conjugate_basis(phi_basis_matrix(n, angles[i]))
+        assert basis_relabeling(conj_i, phi_basis_matrix(n, angles[PARTNER[i]])) is not None, i
     tables = joint_distribution(CloneParams.identity(n))
     derived = {
         (a, b) for a in range(4) for b in range(4)
