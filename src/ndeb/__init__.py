@@ -1,57 +1,47 @@
-"""N-level entanglement-based QKD: cloning attacks, thresholds, simulation."""
+"""N-level entanglement-based QKD: cloning attacks, thresholds, simulation.
 
-from .qudit import optimal_angles, phi_basis
-from .bell import BellIndex, bell_overlap, overlap_matrix
-from .cloner import (
-    AmplitudeMatrix,
-    ClassPartition,
-    CloneParams,
-    fidelity_disturbances,
-    invariance_classes,
-    joint_distribution,
-    params_to_matrix,
-    werner_noise_fraction,
-)
-from .info import entropy, eve_conditional, i_ab, i_ae
-from .thresholds import (
-    ThresholdRecord,
-    crossover_fidelity,
-    fidelity_threshold,
-    max_eve_info,
-    security_report,
-    visibility_threshold,
-)
-from .sim import ProtocolConfig, SimReport, conjugate_pairs, empirical_info, run_simulation
+Public names are imported from their modules on first use (PEP 562), so
+``import ndeb`` loads no submodule, and the threshold names load no numpy.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeMatrix",
-    "BellIndex",
-    "ClassPartition",
-    "CloneParams",
-    "ProtocolConfig",
-    "SimReport",
-    "ThresholdRecord",
-    "bell_overlap",
-    "conjugate_pairs",
-    "crossover_fidelity",
-    "empirical_info",
-    "entropy",
-    "eve_conditional",
-    "fidelity_disturbances",
-    "fidelity_threshold",
-    "i_ab",
-    "i_ae",
-    "invariance_classes",
-    "joint_distribution",
-    "max_eve_info",
-    "optimal_angles",
-    "overlap_matrix",
-    "params_to_matrix",
-    "phi_basis",
-    "run_simulation",
-    "security_report",
-    "visibility_threshold",
-    "werner_noise_fraction",
-]
+# Public name -> the module that defines it.
+_SOURCES = {
+    "optimal_angles": "qudit",
+    "phi_basis": "qudit",
+    "BellIndex": "bell",
+    "bell_overlap": "bell",
+    "overlap_matrix": "bell",
+    "ClassPartition": "cloner",
+    "fidelity_disturbances": "cloner",
+    "invariance_classes": "cloner",
+    "joint_distribution": "cloner",
+    "werner_noise_fraction": "cloner",
+    "CloneParams": "info",
+    "entropy": "info",
+    "i_ab": "info",
+    "i_ae": "info",
+    "ThresholdRecord": "thresholds",
+    "crossover_fidelity": "thresholds",
+    "fidelity_threshold": "thresholds",
+    "max_eve_info": "thresholds",
+    "security_report": "thresholds",
+    "visibility_threshold": "thresholds",
+    "ProtocolConfig": "sim",
+    "SimReport": "sim",
+    "conjugate_pairs": "sim",
+    "empirical_info": "sim",
+    "run_simulation": "sim",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value

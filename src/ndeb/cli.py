@@ -7,6 +7,9 @@ Subcommands:
     classes   invariance classes of the amplitude matrix for given angles
     overlap   a single Bell-family overlap, in closed form
 
+``table`` and ``report`` run in plain Python: numpy, and the modules
+built on it, are imported only by the commands that need them.
+
 Machine-readable output is wrapped in an envelope with schema_version
 "1"; CSV output carries the same tag in a leading comment line.  Floats
 in tabular output are printed with 6 significant digits; JSON keeps
@@ -18,19 +21,16 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from typing import Any, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Sequence, TextIO
 
-import numpy as np
-
-from .bell import BellIndex, bell_overlap
-from .cloner import CloneParams, invariance_classes
-from .info import i_ab
+from .info import CloneParams, i_ab
 from .qudit import optimal_angles
-from .sim import ProtocolConfig, SimReport, key_columns, key_rows, run_simulation
 from .thresholds import security_report
+
+if TYPE_CHECKING:
+    from .sim import SimReport
 
 SCHEMA_VERSION = "1"
 N_CAP = 16
@@ -125,6 +125,8 @@ def _collect_angles(n: int, phis: Sequence[float], indices: Sequence[int]) -> li
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
+    from .cloner import invariance_classes
+
     if not 2 <= args.n <= N_CAP:
         raise CliError(f"--n must satisfy 2 <= n <= {N_CAP}, got {args.n}")
     angles = _collect_angles(args.n, args.phi or [], args.phi_index or [])
@@ -171,6 +173,8 @@ def _pick_angle(n: int, value: float | None, index: int | None, flag: str) -> fl
 
 
 def cmd_overlap(args: argparse.Namespace) -> int:
+    from .bell import BellIndex, bell_overlap
+
     if not 2 <= args.n <= N_CAP:
         raise CliError(f"--n must satisfy 2 <= n <= {N_CAP}, got {args.n}")
     phi1 = _pick_angle(args.n, args.phi1, args.phi1_index, "--phi1")
@@ -206,6 +210,10 @@ def write_report(fh: TextIO, report: SimReport) -> None:
     the n*n row texts are built once and the rows are spliced in from
     that table in place of the empty key, the envelope's last value.
     """
+    import numpy as np
+
+    from .sim import key_columns, key_rows
+
     payload = {**report.summary(), "key_symbols": []}
     head, tail = json.dumps(_envelope("simulate", payload), indent=2).rsplit("[]", 1)
     fh.write(head)
@@ -230,12 +238,15 @@ def write_report(fh: TextIO, report: SimReport) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import ProtocolConfig, run_simulation
+
     if not os.path.exists(args.config):
         raise CliError(f"config file not found: {args.config}")
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh, parse_constant=_reject_constant)
     env_seed = os.environ.get("NDEB_SEED")
-    if env_seed is not None:
+    # A config that is not an object is left for from_dict to reject.
+    if env_seed is not None and isinstance(raw, dict):
         try:
             raw["seed"] = int(env_seed)
         except ValueError:

@@ -1,4 +1,4 @@
-"""Shift-covariant four-slot attack states and their amplitude matrices.
+"""Shift-covariant attacks: invariance classes, row weights and outcome tables.
 
 An individual attack on the entangled pair is described by a pure state
 on four slots ordered (reference, clone_a, clone_b, machine):
@@ -15,10 +15,12 @@ A matrix constant on the invariance classes returned by
 ``invariance_classes`` produces the *same* four-slot state no matter
 which of the four protocol bases is used to build it, which is the
 property that lets a single attack cover every sifted basis choice.
-The three-parameter family ``CloneParams(v, x, y)`` - two distinct rows,
-read off by ``branch_rows`` - is the symmetric member of that invariant
-set used by the optimizer; ``joint_distribution`` gives its exact
-outcome tables in every pair of protocol bases.
+The library computes with one member of that invariant set, the
+symmetric family ``CloneParams(v, x, y)`` of ``ndeb.info``: two
+distinct rows, (v, y, ..., y) once and (x, y, ..., y) N - 1 times.
+``fidelity_disturbances`` gives its row weights and
+``joint_distribution`` its exact outcome tables in every pair of
+protocol bases.  General amplitude matrices are built only by the tests.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .bell import overlap_matrix
-from .qudit import ATOL, check_dim, finite_real, number_array
+from .info import CloneParams, row_weights
+from .qudit import check_dim, finite_real
 
 CLASS_TOL = 1e-9
 
@@ -37,78 +40,6 @@ CLASS_TOL = 1e-9
 # 2*pi*i/(4N) gives back (up to a column relabeling) the optimal basis
 # at index PARTNER[i].  Indices 0 and 2 are self-paired, 1 and 3 swap.
 PARTNER = {0: 0, 1: 3, 2: 2, 3: 1}
-
-
-@dataclass(frozen=True)
-class AmplitudeMatrix:
-    """General N x N complex attack amplitudes with unit total weight."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(number_array("amplitude matrix", self.a, "iufc"), dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"amplitude matrix must be square, got {a.shape}")
-        check_dim(a.shape[0])
-        if not np.isfinite(a).all():
-            raise ValueError("amplitude matrix holds a non-finite entry")
-        total = float(np.sum(np.abs(a) ** 2))
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"amplitude matrix norm^2 is {total}, expected 1 within 1e-12")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
-class CloneParams:
-    """Symmetric attack family: a[0,0]=v, a[m,0]=x for m>=1, a[m,n]=y for n>=1."""
-
-    dim: int
-    v: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        n = check_dim(self.dim)
-        v, x, y = (finite_real(name, getattr(self, name)) for name in "vxy")
-        if min(v, x, y) < 0.0:
-            raise ValueError(f"(v, x, y) must be nonnegative, got {(v, x, y)}")
-        total = v * v + (n - 1) * x * x + n * (n - 1) * y * y
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"v^2+(N-1)x^2+N(N-1)y^2 = {total}, expected 1 within 1e-12")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @staticmethod
-    def identity(n: int) -> "CloneParams":
-        """The no-disturbance attack (pass-through)."""
-        return CloneParams(n, 1.0, 0.0, 0.0)
-
-
-def branch_rows(p: CloneParams | AmplitudeMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, counts): the distinct amplitude rows and how many branches share each.
-
-    ``CloneParams`` has two, (v, y, ..., y) for branch 0 and (x, y, ..., y)
-    for each of the N - 1 shifted branches, so counts is (1, N - 1).  An
-    ``AmplitudeMatrix`` gives its N rows in branch order, each counted once.
-    """
-    if isinstance(p, CloneParams):
-        rows = np.full((2, p.dim), p.y)
-        rows[:, 0] = p.v, p.x
-        return rows, np.array([1, p.dim - 1])
-    if isinstance(p, AmplitudeMatrix):
-        return p.a, np.ones(p.dim, dtype=int)
-    raise TypeError(f"expected CloneParams or AmplitudeMatrix, got {type(p)!r}")
-
-
-def params_to_matrix(p: CloneParams) -> AmplitudeMatrix:
-    return AmplitudeMatrix(np.repeat(*branch_rows(p), axis=0))
 
 
 @dataclass(frozen=True)
@@ -167,15 +98,14 @@ def invariance_classes(n: int, phis: Sequence[float]) -> ClassPartition:
     return ClassPartition(n, tuple(classes))
 
 
-def fidelity_disturbances(p: CloneParams | AmplitudeMatrix) -> tuple[float, np.ndarray]:
+def fidelity_disturbances(p: CloneParams) -> tuple[float, np.ndarray]:
     """(F, [D_1 .. D_{N-1}]): row weights of the amplitude matrix.
 
     F is the probability that the key copy is undisturbed and D_m the
     probability of a label shift by m; F + sum(D) = 1.
     """
-    rows, counts = branch_rows(p)
-    row_weights = np.repeat(np.sum(np.abs(rows) ** 2, axis=1), counts)
-    return float(row_weights[0]), row_weights[1:]
+    fid, miss = row_weights(p)
+    return fid, np.full(p.dim - 1, miss)
 
 
 def werner_noise_fraction(p: CloneParams) -> float:

@@ -1,93 +1,105 @@
-"""Shannon information for the attacked key channel (base-2 throughout).
+"""The symmetric attack and its Shannon information, in closed form (base 2 throughout).
 
-The legitimate channel is symmetric: correct symbol with probability F,
-each of the N-1 shifts with probability D_m, so
+``CloneParams(v, x, y)`` is the symmetric shift-covariant attack: its
+amplitude matrix has the row (v, y, ..., y) for the branch that leaves
+the key copy alone and the row (x, y, ..., y) for each of the N - 1
+branches that shift it.  A row (c, y, ..., y) has weight
+w = c^2 + (N-1) y^2, so the legitimate channel gives the correct symbol
+with probability F = v^2 + (N-1) y^2 and each shift with
+D = x^2 + (N-1) y^2:
 
-    i_ab = log2(N) + F*log2(F) + sum_m D_m*log2(D_m).
+    i_ab = log2(N) + F*log2(F) + (N-1)*D*log2(D).
 
-The eavesdropper learns the shift branch m exactly and, within branch
-m, her best symbol guess is off by d with probability
+The eavesdropper learns the branch exactly; within a branch of row
+(c, y, ..., y) her best symbol guess is off by d with probability
+|sum_n a_n exp(2j*pi*d*n/N)|^2 / (N w), which is
 
-    p_d = |sum_n a[m, n] * exp(2j*pi*d*n/N)|^2 / (N * w_m)
-        = |N * ifft(a[m])[d]|^2 / (N * w_m),    w_m = sum_n |a[m, n]|^2
+    P = (c + (N-1) y)^2 / (N w) at d = 0,   (c - y)^2 / (N w) at each d != 0,
 
-so her information is log2(N) minus the branch-averaged entropy of
-those conditionals, summed over the distinct rows of ``branch_rows``
-weighted by the number of branches that share each.
+so her information is log2(N) plus k*w*sum_d p_d*log2(p_d) over the two
+rows, with k = 1 for the v row and N - 1 for the x row.  Each sum is one
+``math.fsum``, which rounds once.  Nothing here loads numpy.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-import numpy as np
-
-from .cloner import AmplitudeMatrix, CloneParams, branch_rows, fidelity_disturbances
-from .qudit import number_array, strict_int
+from .qudit import ATOL, check_dim, finite_real
 
 PROB_ATOL = 1e-10
 
 
-def _as_prob_dist(dist) -> np.ndarray:
-    p = np.asarray(number_array("distribution", dist, "iuf"), dtype=float).reshape(-1)
-    if p.size == 0:
-        raise ValueError("empty probability distribution")
-    if not np.isfinite(p).all():
-        raise ValueError(f"probabilities must be finite, got {p}")
-    if p.min() < -1e-12:
-        raise ValueError(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > PROB_ATOL:
-        raise ValueError(f"probabilities sum to {p.sum()}, expected 1 within 1e-10")
-    return np.clip(p, 0.0, None)
+@dataclass(frozen=True)
+class CloneParams:
+    """Symmetric attack family: a[0,0]=v, a[m,0]=x for m>=1, a[m,n]=y for n>=1."""
+
+    dim: int
+    v: float
+    x: float
+    y: float
+
+    def __post_init__(self):
+        n = check_dim(self.dim)
+        v, x, y = (finite_real(name, getattr(self, name)) for name in "vxy")
+        if min(v, x, y) < 0.0:
+            raise ValueError(f"(v, x, y) must be nonnegative, got {(v, x, y)}")
+        total = v * v + (n - 1) * x * x + n * (n - 1) * y * y
+        if abs(total - 1.0) > ATOL:
+            raise ValueError(f"v^2+(N-1)x^2+N(N-1)y^2 = {total}, expected 1 within 1e-12")
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    @staticmethod
+    def identity(n: int) -> "CloneParams":
+        """The no-disturbance attack (pass-through)."""
+        return CloneParams(n, 1.0, 0.0, 0.0)
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits along the last axis of nonnegative p; 0*log(0) = 0."""
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -np.sum(p * logs, axis=-1)
+def row_weights(p: CloneParams) -> tuple[float, float]:
+    """(F, D): the weight of the unshifted row and of each of the N - 1 shifted rows."""
+    if not isinstance(p, CloneParams):
+        raise TypeError(f"expected CloneParams, got {type(p)!r}")
+    flat = (p.dim - 1) * p.y * p.y
+    return p.v * p.v + flat, p.x * p.x + flat
+
+
+def _xlog2x(t: float) -> float:
+    return t * math.log2(t) if t > 0.0 else 0.0
 
 
 def entropy(dist) -> float:
-    """Shannon entropy in bits; 0*log(0) = 0."""
-    return float(_entropy_bits(_as_prob_dist(dist)))
+    """Shannon entropy in bits of a sequence of probabilities; 0*log(0) = 0."""
+    try:
+        probs = [finite_real("probability", p) for p in dist]
+    except TypeError:
+        raise ValueError(f"distribution must be a sequence of numbers, got {dist!r}") from None
+    if not probs:
+        raise ValueError("empty probability distribution")
+    if min(probs) < -1e-12:
+        raise ValueError(f"negative probability {min(probs)}")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > PROB_ATOL:
+        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-10")
+    return -math.fsum(map(_xlog2x, probs))
 
 
-def i_ab(p: CloneParams | AmplitudeMatrix) -> float:
+def i_ab(p: CloneParams) -> float:
     """Mutual information of the sifted key symbols, in bits."""
-    fid, dist = fidelity_disturbances(p)
-    return math.log2(dist.size + 1) - entropy(np.concatenate(([fid], dist)))
+    fid, miss = row_weights(p)
+    n = p.dim
+    return math.log2(n) + math.fsum((_xlog2x(fid), (n - 1) * _xlog2x(miss)))
 
 
-def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
-    """(w, p[..., d]): branch weights and the eavesdropper's conditionals.
-
-    ``rows`` holds amplitude rows a[m, :] along its last axis; a branch
-    of zero weight gets the all-zero conditional.
-    """
-    rows = np.asarray(rows, dtype=complex)
-    n = rows.shape[-1]
-    w = np.sum(np.abs(rows) ** 2, axis=-1)
-    amps = np.abs(n * np.fft.ifft(rows, axis=-1)) ** 2
-    # divide by N*w itself, not by 1/(N*w): the reciprocal of a subnormal
-    # weight overflows to inf, while |N*ifft|^2 <= N*w keeps p finite
-    norm = (n * w)[..., None]
-    p = np.divide(amps, norm, out=np.zeros_like(amps), where=norm > 0.0)
-    return w, p
-
-
-def eve_conditional(p: CloneParams | AmplitudeMatrix, m: int) -> np.ndarray:
-    """Distribution of (Alice's symbol - Eve's estimate) within branch m (mod N)."""
-    m = strict_int("m", m)
-    rows, counts = branch_rows(p)
-    row_of_branch = np.repeat(np.arange(counts.size), counts)
-    weight, cond = eve_branches(rows[row_of_branch[m % row_of_branch.size]])
-    if weight <= 0.0:
-        raise ValueError(f"branch {m} has zero weight")
-    return cond
-
-
-def i_ae(p: CloneParams | AmplitudeMatrix) -> float:
+def i_ae(p: CloneParams) -> float:
     """Eavesdropper's information about Alice's sifted symbol, in bits."""
-    rows, counts = branch_rows(p)
-    w, cond = eve_branches(rows)
-    # fsum rounds once, so two rows with counts and the N rows they stand for agree
-    return math.log2(rows.shape[-1]) - math.fsum(counts * w * _entropy_bits(cond))
+    fid, miss = row_weights(p)
+    n, y = p.dim, p.y
+    terms = []
+    for c, k, w in ((p.v, 1, fid), (p.x, n - 1, miss)):
+        if w > 0.0:  # a branch of zero weight adds nothing
+            hit, off = (c + (n - 1) * y) ** 2 / (n * w), (c - y) ** 2 / (n * w)
+            terms += (k * w * _xlog2x(hit), k * w * (n - 1) * _xlog2x(off))
+    return math.log2(n) + math.fsum(terms)

@@ -1,5 +1,8 @@
 """Qudit primitives: the phase-gradient bases, the protocol angles and the input checks.
 
+The input checks load no numpy; the two functions that build arrays
+import it when called.
+
 Conventions used throughout the package:
 
 * A basis is an N x N unitary whose *columns* are the basis kets written
@@ -13,9 +16,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any
-
-import numpy as np
 
 ATOL = 1e-12
 
@@ -24,30 +26,17 @@ TWO_PI = 2.0 * math.pi
 
 def strict_int(name: str, value: Any) -> int:
     """``value`` as an int; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an int, got {value!r}")
     return int(value)
 
 
 def finite_real(name: str, value: Any) -> float:
     """``value`` as a finite float; bools, strings, nan and inf are rejected."""
-    real = isinstance(value, (int, float, np.integer, np.floating))
+    real = isinstance(value, numbers.Real)
     if isinstance(value, bool) or not real or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
-
-
-def number_array(name: str, value: Any, kinds: str) -> np.ndarray:
-    """``value`` as an array whose dtype kind is one of ``kinds``.
-
-    Bools are rejected too, also inside a list that numpy would promote
-    to floats along with the numbers beside them.
-    """
-    cells = () if isinstance(value, np.ndarray) else np.array(value, dtype=object).flat
-    arr = np.asarray(value)
-    if arr.dtype.kind not in kinds or any(isinstance(c, (bool, np.bool_)) for c in cells):
-        raise ValueError(f"{name} entries must be numbers, got {value!r}")
-    return arr
 
 
 def check_dim(n: int) -> int:
@@ -60,6 +49,8 @@ def check_dim(n: int) -> int:
 
 def phi_basis(n: int, phase: float) -> np.ndarray:
     """Phase-gradient basis, read-only: u[k, l] = exp(1j*k*(2*pi*l/n + phase)) / sqrt(n)."""
+    import numpy as np
+
     n = check_dim(n)
     phase = finite_real("phase", phase)
     k = np.arange(n)[:, None]
@@ -71,6 +62,8 @@ def phi_basis(n: int, phase: float) -> np.ndarray:
 
 def optimal_angles(n: int) -> np.ndarray:
     """The four protocol angles 2*pi*i/(4*n), i = 0..3."""
+    import numpy as np
+
     n = check_dim(n)
     return TWO_PI * np.arange(4) / (4 * n)
 

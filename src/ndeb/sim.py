@@ -53,6 +53,15 @@ def conjugate_pairs() -> frozenset[tuple[int, int]]:
     return _PAIRS
 
 
+def _require_keys(kind: str, d: Any, keys) -> None:
+    """Raise ValueError unless ``d`` is a dict holding every one of ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {d!r}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{kind} missing required keys: {', '.join(missing)}")
+
+
 def key_columns(flat: np.ndarray, n: int, attacked: bool) -> np.ndarray:
     """Key rows of flat outcomes k*n + l, as an int64 array.
 
@@ -119,9 +128,7 @@ class ProtocolConfig:
 
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "ProtocolConfig":
-        missing = [k for k in ("n", "rounds", "basis_weights", "seed") if k not in d]
-        if missing:
-            raise ValueError(f"config missing required keys: {', '.join(missing)}")
+        _require_keys("config", d, ("n", "rounds", "basis_weights", "seed"))
         attack = d.get("attack")
         params = None
         if attack is not None:
@@ -187,9 +194,12 @@ class SimReport:
 
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "SimReport":
+        _require_keys("report", d, (*SimReport.SCALARS, "per_pair_tables", "key_symbols"))
         n = check_dim(d["n"])
         rounds = strict_int("rounds", d["rounds"])
         rows = d["key_symbols"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("key_symbols must be a list of [alice, bob, branch] rows")
         if any(len(row) != 3 for row in rows):
             raise ValueError("every key row must hold 3 entries: alice, bob, branch")
         width = 3 if rows and rows[0][2] is not None else 2

@@ -17,8 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cloner import CloneParams
-from .info import i_ab, i_ae
+from .info import CloneParams, i_ab, i_ae
 from .qudit import check_dim, finite_real, strict_int
 
 Y_LO = 1e-6  # dI_AE/dy is 0 at y = 0, so y's bracket starts at Y_LO * y_max

@@ -5,10 +5,12 @@ their brute-force overlaps, density matrices and partial traces, basis
 conjugation and relabelings, the maximally entangled pair, the
 four-slot attack state, its reduced two-slot state, the Werner state,
 the protocol measurement bases, the outcome tables by an explicit
-Born-rule contraction, dense N^2 x N^2 Bell Gram matrices and the
-union-find invariance-class oracle live here rather than in ``ndeb``:
-the library computes the same quantities in closed form, and these
-slower, more literal routes are what the tests compare it with.
+Born-rule contraction, dense N^2 x N^2 Bell Gram matrices, the
+union-find invariance-class oracle, general amplitude matrices and the
+eavesdropper's information from the FFT of their rows live here rather
+than in ``ndeb``: the library computes the same quantities in closed
+form, and these slower, more literal routes are what the tests compare
+it with.
 Unlike ``born_oracle`` they take the protocol bases from the library's
 ``phi_basis``, which stays their one definition.
 
@@ -23,15 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from ndeb.bell import BellIndex
-from ndeb.cloner import (
-    CLASS_TOL,
-    PARTNER,
-    AmplitudeMatrix,
-    ClassPartition,
-    CloneParams,
-    branch_rows,
-)
-from ndeb.qudit import ATOL, check_dim, finite_real, optimal_angles, phi_basis
+from ndeb.cloner import CLASS_TOL, PARTNER, ClassPartition, CloneParams
+from ndeb.qudit import ATOL, check_dim, finite_real, optimal_angles, phi_basis, strict_int
 
 EIG_ATOL = 1e-10
 
@@ -317,6 +312,119 @@ def union_find_classes(n: int, phis: Sequence[float], tol: float = CLASS_TOL) ->
         for nn in range(n):
             groups.setdefault(find(m * n + nn), set()).add((m, nn))
     return ClassPartition(n, tuple(frozenset(g) for g in groups.values()))
+
+
+# ---------------------------------------------------------------- amplitude matrices
+
+
+def number_array(name: str, value, kinds: str) -> np.ndarray:
+    """``value`` as an array whose dtype kind is one of ``kinds``.
+
+    Bools are rejected too, also inside a list that numpy would promote
+    to floats along with the numbers beside them.
+    """
+    cells = () if isinstance(value, np.ndarray) else np.array(value, dtype=object).flat
+    arr = np.asarray(value)
+    if arr.dtype.kind not in kinds or any(isinstance(c, (bool, np.bool_)) for c in cells):
+        raise ValueError(f"{name} entries must be numbers, got {value!r}")
+    return arr
+
+
+@dataclass(frozen=True)
+class AmplitudeMatrix:
+    """General N x N complex attack amplitudes with unit total weight."""
+
+    a: np.ndarray
+
+    def __post_init__(self):
+        a = np.array(number_array("amplitude matrix", self.a, "iufc"), dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"amplitude matrix must be square, got {a.shape}")
+        check_dim(a.shape[0])
+        if not np.isfinite(a).all():
+            raise ValueError("amplitude matrix holds a non-finite entry")
+        total = float(np.sum(np.abs(a) ** 2))
+        if abs(total - 1.0) > ATOL:
+            raise ValueError(f"amplitude matrix norm^2 is {total}, expected 1 within 1e-12")
+        object.__setattr__(self, "a", _frozen(a))
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+
+def branch_rows(p: CloneParams | AmplitudeMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the distinct amplitude rows and how many branches share each.
+
+    ``CloneParams`` has two, (v, y, ..., y) for branch 0 and (x, y, ..., y)
+    for each of the N - 1 shifted branches, so counts is (1, N - 1).  An
+    ``AmplitudeMatrix`` gives its N rows in branch order, each counted once.
+    """
+    if isinstance(p, CloneParams):
+        rows = np.full((2, p.dim), p.y)
+        rows[:, 0] = p.v, p.x
+        return rows, np.array([1, p.dim - 1])
+    if isinstance(p, AmplitudeMatrix):
+        return p.a, np.ones(p.dim, dtype=int)
+    raise TypeError(f"expected CloneParams or AmplitudeMatrix, got {type(p)!r}")
+
+
+def params_to_matrix(p: CloneParams) -> AmplitudeMatrix:
+    return AmplitudeMatrix(np.repeat(*branch_rows(p), axis=0))
+
+
+def eve_branches(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(w, p[..., d]): branch weights and the eavesdropper's conditionals.
+
+    ``rows`` holds amplitude rows a[m, :] along its last axis, and
+    p_d = |N * ifft(a[m])[d]|^2 / (N * w_m); a branch of zero weight gets
+    the all-zero conditional.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    n = rows.shape[-1]
+    w = np.sum(np.abs(rows) ** 2, axis=-1)
+    amps = np.abs(n * np.fft.ifft(rows, axis=-1)) ** 2
+    # divide by N*w itself, not by 1/(N*w): the reciprocal of a subnormal
+    # weight overflows to inf, while |N*ifft|^2 <= N*w keeps p finite
+    norm = (n * w)[..., None]
+    p = np.divide(amps, norm, out=np.zeros_like(amps), where=norm > 0.0)
+    return w, p
+
+
+def eve_conditional(p: CloneParams | AmplitudeMatrix, m: int) -> np.ndarray:
+    """Distribution of (Alice's symbol - Eve's estimate) within branch m (mod N)."""
+    m = strict_int("m", m)
+    rows, counts = branch_rows(p)
+    row_of_branch = np.repeat(np.arange(counts.size), counts)
+    weight, cond = eve_branches(rows[row_of_branch[m % row_of_branch.size]])
+    if weight <= 0.0:
+        raise ValueError(f"branch {m} has zero weight")
+    return cond
+
+
+def _xlog2x(t: np.ndarray) -> np.ndarray:
+    return t * np.log2(t, out=np.zeros_like(t), where=t > 0.0)
+
+
+def matrix_fidelity_disturbances(p: CloneParams | AmplitudeMatrix) -> tuple[float, np.ndarray]:
+    """(F, [D_1 .. D_{N-1}]) as the N row weights of the amplitude matrix."""
+    rows, counts = branch_rows(p)
+    row_weights = np.repeat(np.sum(np.abs(rows) ** 2, axis=1), counts)
+    return float(row_weights[0]), row_weights[1:]
+
+
+def matrix_i_ab(p: CloneParams | AmplitudeMatrix) -> float:
+    """Key-symbol mutual information from the row weights, in bits."""
+    fid, dist = matrix_fidelity_disturbances(p)
+    return math.log2(dist.size + 1) + math.fsum(_xlog2x(np.concatenate(([fid], dist))))
+
+
+def matrix_i_ae(p: CloneParams | AmplitudeMatrix) -> float:
+    """Eavesdropper bits from the FFT of each row, every (branch, d) term in one fsum."""
+    rows, counts = branch_rows(p)
+    w, cond = eve_branches(rows)
+    terms = (counts * w)[:, None] * _xlog2x(cond)
+    return math.log2(rows.shape[-1]) + math.fsum(terms.ravel())
 
 
 # ---------------------------------------------------------------- attack states

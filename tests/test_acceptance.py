@@ -12,27 +12,24 @@ import numpy as np
 import pytest
 
 from ndeb.bell import bell_overlap, BellIndex, overlap_matrix
-from ndeb.cloner import (
-    AmplitudeMatrix,
-    CloneParams,
-    invariance_classes,
-    joint_distribution,
-    params_to_matrix,
-    werner_noise_fraction,
-)
-from ndeb.info import eve_conditional, i_ab, i_ae
+from ndeb.cloner import CloneParams, invariance_classes, joint_distribution, werner_noise_fraction
+from ndeb.info import i_ab, i_ae
 from ndeb.qudit import optimal_angles
 from ndeb.sim import ProtocolConfig, run_simulation
 from ndeb.thresholds import max_eve_info, security_report, y_max
 
 import born_oracle
 from state_tools import (
+    AmplitudeMatrix,
     alice_measurement_basis,
     bob_measurement_basis,
     brute_force_gram,
     brute_force_overlap,
     build_attack_state,
+    eve_conditional,
     expand_overlap_table,
+    matrix_i_ae,
+    params_to_matrix,
     phi_basis_matrix,
     reduced_state_ra,
     state_tables,
@@ -244,7 +241,7 @@ def test_criterion_09_complex_phases_do_not_help():
                 for theta in np.linspace(0.0, 2 * math.pi, 37):
                     off = y * np.exp(1j * theta)
                     a = np.array([[v, off], [x, off]])
-                    val = i_ae(AmplitudeMatrix(a))
+                    val = matrix_i_ae(AmplitudeMatrix(a))
                     assert val <= best + 1e-9, (fid, y, theta, val, best)
 
 

@@ -540,3 +540,28 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "f_a" in proc.stdout
+
+
+def test_table_and_report_load_no_numpy():
+    # A fresh interpreter, so that no other test's imports count.
+    src = str(Path(ndeb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "import ndeb\n"
+        "from ndeb import crossover_fidelity\n"
+        "import ndeb.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['report', '--n', '2..16']) == 0\n"
+        "    assert cli.main(['table', '--n', '2..16', '--format', 'json']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

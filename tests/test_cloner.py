@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from ndeb.cloner import (
     PARTNER,
-    AmplitudeMatrix,
     ClassPartition,
     CloneParams,
     fidelity_disturbances,
     invariance_classes,
     joint_distribution,
-    params_to_matrix,
     werner_noise_fraction,
 )
 from ndeb.qudit import optimal_angles
@@ -22,12 +20,14 @@ from ndeb.thresholds import crossover_fidelity
 
 import born_oracle
 from state_tools import (
+    AmplitudeMatrix,
     alice_measurement_basis,
     basis_relabeling,
     bob_measurement_basis,
     build_attack_state,
     einsum_joint_distribution,
     max_entangled,
+    params_to_matrix,
     phi_basis_matrix,
     reduced_state_ra,
     tensor,

@@ -1,16 +1,25 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndeb.cloner import AmplitudeMatrix, CloneParams, fidelity_disturbances, params_to_matrix
-from ndeb.info import entropy, eve_conditional, i_ab, i_ae
+from ndeb.cloner import CloneParams, fidelity_disturbances
+from ndeb.info import entropy, i_ab, i_ae
 from ndeb.thresholds import clone_family_at_fidelity, crossover_fidelity
 
 import born_oracle
+from state_tools import (
+    AmplitudeMatrix,
+    eve_conditional,
+    matrix_fidelity_disturbances,
+    matrix_i_ab,
+    matrix_i_ae,
+    params_to_matrix,
+)
 from strategies import clone_params
 
 RNG = np.random.default_rng(90817)
@@ -59,7 +68,7 @@ def test_entropy_rejects_bad_distributions():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_entropy_rejects_non_finite_entries(bad):
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be a finite number"):
         entropy([bad, 1.0])
 
 
@@ -195,34 +204,30 @@ def test_i_ae_matches_plug_in_mi_of_born_table(n):
     assert i_ae(p) == pytest.approx(plug_in_mi(joint_a_ec), abs=1e-10)
 
 
-def test_info_accepts_amplitude_matrix_input():
-    n = 2
-    p = CloneParams(n, *born_oracle.random_clone_params(n, RNG))
-    m = params_to_matrix(p)
-    assert i_ab(m) == pytest.approx(i_ab(p), abs=1e-14)
-    assert i_ae(m) == pytest.approx(i_ae(p), abs=1e-14)
-    assert isinstance(m, AmplitudeMatrix)
+def route_point(n, point):
+    """The clean, crossover or a random member of the symmetric family at dimension n."""
+    if point == "clean":
+        return CloneParams.identity(n)
+    if point == "crossover":
+        rec = crossover_fidelity(n)
+        return CloneParams(n, rec.v, rec.x, rec.y)
+    return CloneParams(n, *born_oracle.random_clone_params(n, np.random.default_rng(5100 + n)))
 
 
 @pytest.mark.parametrize("point", ["clean", "crossover", "random"])
 @pytest.mark.parametrize("n", range(2, 17))
 def test_two_row_and_full_matrix_routes_agree(n, point):
-    # A CloneParams is read as its two distinct rows, an AmplitudeMatrix as
-    # all N rows; both routes must give the same numbers.
-    if point == "clean":
-        p = CloneParams.identity(n)
-    elif point == "crossover":
-        rec = crossover_fidelity(n)
-        p = CloneParams(n, rec.v, rec.x, rec.y)
-    else:
-        p = CloneParams(n, *born_oracle.random_clone_params(n, np.random.default_rng(5100 + n)))
+    # The library reads a CloneParams in closed form; the oracle takes the
+    # FFT of every row of the full N x N matrix.  Both must give the same
+    # numbers, and the oracle's two-row and N-row conditionals must agree.
+    p = route_point(n, point)
     m = params_to_matrix(p)
     fid, dist = fidelity_disturbances(p)
-    fid_m, dist_m = fidelity_disturbances(m)
+    fid_m, dist_m = matrix_fidelity_disturbances(m)
     assert abs(fid - fid_m) <= 1e-15
     np.testing.assert_allclose(dist, dist_m, rtol=0.0, atol=1e-15)
-    assert abs(i_ab(p) - i_ab(m)) <= 1e-15
-    assert abs(i_ae(p) - i_ae(m)) <= 1e-15
+    assert abs(i_ab(p) - matrix_i_ab(m)) <= 1e-15
+    assert abs(i_ae(p) - matrix_i_ae(m)) <= 1e-15
     for branch, weight in enumerate(np.concatenate(([fid], dist))):
         if weight == 0.0:
             for attack in (p, m):
@@ -234,8 +239,40 @@ def test_two_row_and_full_matrix_routes_agree(n, point):
 
 
 def test_info_rejects_other_types():
-    with pytest.raises(TypeError):
-        i_ab(np.eye(2))
+    # The library reads only the symmetric family; a general amplitude
+    # matrix goes through the test oracle.
+    for attack in (np.eye(2), params_to_matrix(CloneParams.identity(2))):
+        for info in (i_ab, i_ae):
+            with pytest.raises(TypeError):
+                info(attack)
+
+
+def mp_closed_forms(p):
+    """(i_ab, i_ae) of the module docstring's closed forms, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        n = p.dim
+        v, x, y = (mpmath.mpf(t) for t in (p.v, p.x, p.y))
+
+        def xlog2x(t):
+            return t * mpmath.log(t, 2) if t > 0 else mpmath.mpf(0)
+
+        fid, miss = v * v + (n - 1) * y * y, x * x + (n - 1) * y * y
+        bob = mpmath.log(n, 2) + xlog2x(fid) + (n - 1) * xlog2x(miss)
+        eve = mpmath.log(n, 2)
+        for c, k, w in ((v, 1, fid), (x, n - 1, miss)):
+            if w > 0:
+                hit, off = (c + (n - 1) * y) ** 2 / (n * w), (c - y) ** 2 / (n * w)
+                eve += k * w * (xlog2x(hit) + (n - 1) * xlog2x(off))
+        return float(bob), float(eve)
+
+
+@pytest.mark.parametrize("point", ["clean", "crossover", "random"])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_closed_forms_match_high_precision(n, point):
+    p = route_point(n, point)
+    bob, eve = mp_closed_forms(p)
+    assert abs(i_ab(p) - bob) <= 1e-15
+    assert abs(i_ae(p) - eve) <= 1e-15
 
 
 def loop_i_ae(a):
@@ -261,7 +298,8 @@ def test_i_ae_matches_the_exp_sum_loop(n):
     stack[2, 1] = 0.0  # a branch of zero weight
     stack /= np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))[:, None, None]
     expected = [loop_i_ae(a) for a in stack]
-    np.testing.assert_allclose([i_ae(AmplitudeMatrix(a)) for a in stack], expected, atol=1e-12)
+    got = [matrix_i_ae(AmplitudeMatrix(a)) for a in stack]
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------- properties

@@ -9,7 +9,9 @@ builds; a report that enters from outside goes through
 ``SimReport.from_dict``, which the table covers.  Every key of a
 simulation config is also fed to ``ndeb simulate``, which must exit with
 status 2.  ``test_table_covers_every_public_name`` keeps the table in
-step with ``ndeb.__all__``.
+step with ``ndeb.__all__``.  The two readers, ``ProtocolConfig.from_dict``
+and ``SimReport.from_dict``, also reject a document that is not an
+object or lacks a field, naming it.
 """
 import copy
 import json
@@ -21,7 +23,6 @@ from hypothesis import strategies as st
 
 import ndeb
 from ndeb import (
-    AmplitudeMatrix,
     BellIndex,
     ClassPartition,
     CloneParams,
@@ -30,7 +31,6 @@ from ndeb import (
     bell_overlap,
     crossover_fidelity,
     entropy,
-    eve_conditional,
     fidelity_threshold,
     invariance_classes,
     max_eve_info,
@@ -48,7 +48,6 @@ from strategies import bad_scalars
 
 INT, REAL = bad_scalars("int"), bad_scalars("real")
 
-# Branch 1 of this attack has weight 0.64, so eve_conditional(ATTACK, True) would succeed.
 ATTACK = CloneParams(2, 0.6, 0.8, 0.0)
 GRID = (frozenset((m, j) for m in range(2) for j in range(2)),)
 CONFIG = {
@@ -111,8 +110,6 @@ I01, I11 = BellIndex(0, 1), BellIndex(1, 1)
 
 # (public name, argument, strategy, call with the value in that argument, valid value)
 CASES = [
-    ("AmplitudeMatrix", "a[0][0]", bad_scalars("complex"),
-     lambda z: AmplitudeMatrix([[z, 0.0], [0.0, 0.0]]), 1.0),
     ("BellIndex", "m", INT, lambda z: BellIndex(z, 0), 1),
     ("BellIndex", "n", INT, lambda z: BellIndex(0, z), 1),
     ("BellIndex", "variant", REAL.filter(lambda z: z not in VARIANTS),
@@ -139,7 +136,6 @@ CASES = [
     ("bell_overlap", "phi2", REAL, lambda z: bell_overlap(3, 0.0, z, I01, I11), 0.1),
     ("crossover_fidelity", "n", INT, crossover_fidelity, 2),
     ("entropy", "dist[0]", REAL, lambda z: entropy([z, 0.0]), 1.0),
-    ("eve_conditional", "m", INT, lambda z: eve_conditional(ATTACK, z), 1),
     ("fidelity_threshold", "n", INT, fidelity_threshold, 2),
     ("invariance_classes", "n", INT, lambda z: invariance_classes(z, [0.0, 0.3]), 3),
     ("invariance_classes", "phis[1]", REAL, lambda z: invariance_classes(3, [0.0, z]), 0.3),
@@ -167,7 +163,6 @@ NO_SCALAR_ARGUMENTS = {
     "i_ab",
     "i_ae",
     "joint_distribution",
-    "params_to_matrix",
     "werner_noise_fraction",
 }
 
@@ -190,6 +185,27 @@ def test_public_callables_reject_bad_scalars(strategy, call, data):
     bad = data.draw(strategy, label="bad")
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("doc", [5, None, [1, 2], "config"], ids=repr)
+@pytest.mark.parametrize("reader", [ProtocolConfig.from_dict, SimReport.from_dict],
+                         ids=["config", "report"])
+def test_readers_reject_a_document_that_is_not_an_object(reader, doc):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        reader(doc)
+
+
+@pytest.mark.parametrize("field", sorted(REPORT))
+def test_report_reader_names_a_missing_field(field):
+    broken = {k: v for k, v in REPORT.items() if k != field}
+    with pytest.raises(ValueError, match=f"report missing required keys: {field}$"):
+        SimReport.from_dict(broken)
+
+
+@pytest.mark.parametrize("rows", [None, 5, [5], [None], "abc", [[0, 0, None], 5]], ids=repr)
+def test_report_reader_rejects_a_key_that_is_not_a_list_of_rows(rows):
+    with pytest.raises(ValueError, match="key_symbols must be a list"):
+        SimReport.from_dict(replaced(REPORT, ("key_symbols",), rows))
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +239,14 @@ def test_simulate_rejects_bad_config_scalars(workdir, path, strategy, data):
     # A JSON config cannot carry complex numbers or numpy bools.
     assume(not isinstance(bad, (complex, np.bool_)))
     assert simulate_status(workdir, replaced(CONFIG, path, bad)) == (2, False)
+
+
+@pytest.mark.parametrize("seed", [None, "5"], ids=["config-seed", "NDEB_SEED"])
+@pytest.mark.parametrize("doc", [5, None, [1, 2]], ids=repr)
+def test_simulate_rejects_a_config_that_is_not_an_object(workdir, monkeypatch, capsys, doc, seed):
+    if seed is None:
+        monkeypatch.delenv("NDEB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NDEB_SEED", seed)
+    assert simulate_status(workdir, doc) == (2, False)
+    assert "config must be a JSON object" in capsys.readouterr().err

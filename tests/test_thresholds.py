@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from ndeb import thresholds
 from ndeb.cloner import CloneParams, fidelity_disturbances
-from ndeb.info import eve_branches, i_ab, i_ae
+from ndeb.info import i_ab, i_ae
 from ndeb.thresholds import (
     ROOT_RTOL,
     ThresholdRecord,
@@ -20,6 +20,8 @@ from ndeb.thresholds import (
     visibility_threshold,
     y_max,
 )
+
+from state_tools import eve_branches
 
 # The crossover fidelity decreases with N; in the large-N limit it
 # approaches 1/2 while the error-rate threshold approaches 50%, as
@@ -85,7 +87,7 @@ def _two_row_eve_info(n, fid, ys):
 
     Branch 0 is (v, y, ..., y) and counts once; each of the N-1 shifted
     branches is (x, y, ..., y).  The layout is written out here, not read
-    from ``cloner.branch_rows``, so that the whole grid is one batch and
+    from ``state_tools.branch_rows``, so that the whole grid is one batch and
     an independent statement of the family.
     """
     rows = np.empty((ys.size, 2, n))
@@ -108,6 +110,19 @@ def test_eve_slope_matches_finite_difference(n, fid):
         down = i_ae(clone_family_at_fidelity(n, fid, y - step))
         slope = _eve_slope(n, fid, y)
         assert slope == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6), y
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_eve_slope_is_the_derivative_of_i_ae_at_the_crossover(n):
+    # The optimizer's slope is the written derivative of i_ae along the
+    # fixed-fidelity family; check it where the crossover search uses it.
+    fid = crossover_fidelity(n).f_a
+    hi = y_max(n, fid)
+    step = 1e-6 * hi
+    for y in (0.2 * hi, 0.5 * hi, 0.8 * hi):
+        up = i_ae(clone_family_at_fidelity(n, fid, y + step))
+        down = i_ae(clone_family_at_fidelity(n, fid, y - step))
+        assert _eve_slope(n, fid, y) == pytest.approx((up - down) / (2 * step), rel=1e-6), y
 
 
 def test_eve_slope_edges():
@@ -270,6 +285,24 @@ def test_crossover_balances_the_two_channels(all_records):
     for rec in all_records:
         p = CloneParams(rec.n, rec.v, rec.x, rec.y)
         assert i_ab(p) == pytest.approx(i_ae(p), abs=1e-12), rec.n
+
+
+def binary_entropy(t):
+    return -sum(u * math.log2(u) for u in (t, 1.0 - t) if u > 0.0)
+
+
+def test_crossover_identity(all_records):
+    # I_AB = I_AE on the symmetric family reads (F - Q) log2(N-1) = h(F) - <h>:
+    # Q = F P_v + (1-F) P_x is Eve's chance of guessing right, with P_c the
+    # d = 0 mass of row (c, y, ..., y), and <h> = F h(P_v) + (1-F) h(P_x).
+    for rec in all_records:
+        n, fid, y = rec.n, rec.f_a, rec.y
+        hit_v = (rec.v + (n - 1) * y) ** 2 / (n * fid)
+        hit_x = (rec.x + (n - 1) * y) ** 2 * (n - 1) / (n * (1.0 - fid))
+        guess = fid * hit_v + (1.0 - fid) * hit_x
+        mean_h = fid * binary_entropy(hit_v) + (1.0 - fid) * binary_entropy(hit_x)
+        lhs = (fid - guess) * math.log2(n - 1)
+        assert lhs == pytest.approx(binary_entropy(fid) - mean_h, abs=1e-12), n
 
 
 def test_crossover_diagnostics(all_records):
