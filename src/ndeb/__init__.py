@@ -1,7 +1,9 @@
 """N-level entanglement-based QKD: cloning attacks, thresholds, simulation.
 
 Public names are imported from their modules on first use (PEP 562), so
-``import ndeb`` loads no submodule, and the threshold names load no numpy.
+``import ndeb`` loads no submodule.  Only the simulation names load
+numpy on import; ``phi_basis``, ``fidelity_disturbances`` and
+``joint_distribution`` import it when called.
 """
 import importlib
 

@@ -10,14 +10,14 @@ appear, distinguished by a ``variant`` tag:
 
 For a fixed unitary the N^2 states of either variant are orthonormal.
 Overlaps between the RA families of two different basis angles have a
-closed form; the BC case is its complex conjugate.
+closed form; the BC case is its complex conjugate.  It is two geometric
+series, summed here in ``cmath``, so this module loads no numpy.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .qudit import check_dim, finite_real, strict_int
 
@@ -42,21 +42,38 @@ class BellIndex:
         return BellIndex(self.m % dim, self.n % dim, self.variant)
 
 
-def overlap_matrix(n: int, phi1: float, phi2: float) -> np.ndarray:
-    """S[j, r]: every RA-family overlap between angle phi1 and angle phi2.
+def overlap_matrix(n: int, phi1: float, phi2: float) -> tuple[tuple[complex, ...], ...]:
+    """S[j][r]: every RA-family overlap between angle phi1 and angle phi2.
 
-    S[j, r] = (1/N) sum_p exp(1j*(-p*dphi + q*(dphi + 2*pi*r/N))) with
-    q = (p - j) % N and dphi = phi2 - phi1, and the full overlap is
-    <B(phi1, (i, j)) | B(phi2, (k, l))> = delta_{j,l} * S[j, (k-i) % N]:
+    S[j, r] = (1/N) sum_p exp(1j*(-p*dphi + q*(dphi + theta))) with
+    q = (p - j) % N, dphi = phi2 - phi1 and theta = 2*pi*r/N, and the full
+    overlap is <B(phi1, (i, j)) | B(phi2, (k, l))> = delta_{j,l} * S[j, (k-i) % N]:
     the phase index is conserved, and within a fixed phase index the
     value only depends on the shift difference.
+
+    The sum splits at p = j into two geometric series.  With
+    w = exp(1j*N*dphi) they give
+
+        S[j, 0] = exp(-1j*j*dphi) * ((N - j) + w*j) / N
+        S[j, r] = exp(-1j*j*(dphi + theta)) * (w - 1) * (1 - exp(1j*j*theta))
+                  / (N * (1 - exp(1j*theta)))                         (r != 0)
+
+    and every exp(1j*k*theta) is the N-th root of unity at k*r mod N.
     """
     n = check_dim(n)
     dphi = finite_real("phi2", phi2) - finite_real("phi1", phi1)
-    p = np.arange(n)
-    q = (p - p[:, None]) % n  # q[j, p]
-    theta = 2.0 * math.pi * p[:, None] / n  # theta[r, 0]
-    return np.exp(1j * (-p * dphi + q[:, None, :] * (dphi + theta))).sum(axis=-1) / n
+    roots = [cmath.rect(1.0, 2.0 * math.pi * k / n) for k in range(n)]
+    w = cmath.rect(1.0, n * dphi)
+    rows = []
+    for j in range(n):
+        turn = cmath.rect(1.0, -j * dphi)
+        row = [turn * ((n - j) + w * j) / n]
+        for r in range(1, n):
+            # the first j terms of the series, sum_{p<j} exp(1j*p*theta), over N
+            head = (1.0 - roots[j * r % n]) / (n * (1.0 - roots[r]))
+            row.append(turn * roots[-j * r % n] * (w - 1.0) * head)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def bell_overlap(n: int, phi1: float, phi2: float, idx1: BellIndex, idx2: BellIndex) -> complex:
@@ -69,7 +86,7 @@ def bell_overlap(n: int, phi1: float, phi2: float, idx1: BellIndex, idx2: BellIn
     idx1, idx2 = idx1.normalized(n), idx2.normalized(n)
     if idx1.n != idx2.n:
         return 0.0 + 0.0j
-    value = complex(overlap_matrix(n, phi1, phi2)[idx1.n, (idx2.m - idx1.m) % n])
+    value = overlap_matrix(n, phi1, phi2)[idx1.n][(idx2.m - idx1.m) % n]
     if idx1.variant == "BC":
         value = value.conjugate()
     return value

@@ -7,8 +7,9 @@ Subcommands:
     classes   invariance classes of the amplitude matrix for given angles
     overlap   a single Bell-family overlap, in closed form
 
-``table`` and ``report`` run in plain Python: numpy, and the modules
-built on it, are imported only by the commands that need them.
+Only ``simulate`` loads numpy.  ``table``, ``report``, ``classes`` and
+``overlap`` run in plain Python; each command imports the modules it
+needs when it starts.
 
 Machine-readable output is wrapped in an envelope with schema_version
 "1"; CSV output carries the same tag in a leading comment line.  Floats
@@ -120,7 +121,7 @@ def _collect_angles(n: int, phis: Sequence[float], indices: Sequence[int]) -> li
     for i in indices:
         if i not in (0, 1, 2, 3):
             raise CliError(f"--phi-index must be in 0..3, got {i}")
-        angles.append(float(table[i]))
+        angles.append(table[i])
     return angles
 
 
@@ -169,7 +170,7 @@ def _pick_angle(n: int, value: float | None, index: int | None, flag: str) -> fl
         return float(value)
     if index not in (0, 1, 2, 3):
         raise CliError(f"{flag}-index must be in 0..3, got {index}")
-    return float(optimal_angles(n)[index])
+    return optimal_angles(n)[index]
 
 
 def cmd_overlap(args: argparse.Namespace) -> int:

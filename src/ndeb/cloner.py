@@ -20,15 +20,16 @@ symmetric family ``CloneParams(v, x, y)`` of ``ndeb.info``: two
 distinct rows, (v, y, ..., y) once and (x, y, ..., y) N - 1 times.
 ``fidelity_disturbances`` gives its row weights and
 ``joint_distribution`` its exact outcome tables in every pair of
-protocol bases.  General amplitude matrices are built only by the tests.
+protocol bases; these two import numpy when called, and the rest of the
+module runs in plain Python.  General amplitude matrices are built only
+by the tests.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .bell import overlap_matrix
 from .info import CloneParams, row_weights
@@ -78,22 +79,32 @@ def invariance_classes(n: int, phis: Sequence[float]) -> ClassPartition:
     ``bell.overlap_matrix``) has modulus above CLASS_TOL; overlaps across
     phase indices vanish.  So column j splits into the cosets of the
     shifts r linked this way at any pair of angles in ``phis``: the
-    g = gcd(n, every such r) classes {(m, j) : m = c mod g}.  For a pair
-    of angles whose difference is not a multiple of 2*pi/n the result is
-    2n - 1 classes: each column-0 cell is its own class and every other
-    column is one class.
+    g = gcd(n, every such r) classes {(m, j) : m = c mod g}.
+
+    How many classes that gives follows from the closed form of S.  With
+    dphi the angle difference, |w - 1| = |2 sin(n dphi / 2)| and
+    |1 - exp(1j*k*theta)| = |2 sin(k theta / 2)|, so for r != 0
+
+        |S[j, r]| = |2 sin(n dphi/2)| |sin(pi j r/n)| / (n |sin(pi r/n)|).
+
+    Column 0 links no shift (sin(0) = 0), so its n cells are n classes.
+    If n dphi is not a multiple of 2*pi, every column j != 0 links r = 1
+    (sin(pi j/n) != 0), so it is one class: 2n - 1 classes in all.  If
+    n dphi is a multiple of 2*pi, no shift is linked and each of the n^2
+    cells is its own class.  Several angles give 2n - 1 classes as soon
+    as one pair of them does.
     """
     n = check_dim(n)
     phis = [finite_real(f"phis[{i}]", phi) for i, phi in enumerate(phis)]
     if len(phis) < 2:
         raise ValueError("need at least two angles to constrain the amplitudes")
-    linked = np.zeros((n, n), dtype=bool)  # linked[j, r]
-    for ai in range(len(phis)):
-        for bi in range(ai + 1, len(phis)):
-            linked |= np.abs(overlap_matrix(n, phis[ai], phis[bi])) > CLASS_TOL
+    linked = [set() for _ in range(n)]  # linked[j]: shifts r linked in column j
+    for phi1, phi2 in itertools.combinations(phis, 2):
+        for shifts, row in zip(linked, overlap_matrix(n, phi1, phi2)):
+            shifts.update(r for r, s in enumerate(row) if abs(s) > CLASS_TOL)
     classes = []
-    for j in range(n):
-        g = math.gcd(n, *np.flatnonzero(linked[j]).tolist())
+    for j, shifts in enumerate(linked):
+        g = math.gcd(n, *shifts)
         classes += [frozenset((m, j) for m in range(c, n, g)) for c in range(g)]
     return ClassPartition(n, tuple(classes))
 
@@ -104,6 +115,8 @@ def fidelity_disturbances(p: CloneParams) -> tuple[float, np.ndarray]:
     F is the probability that the key copy is undisturbed and D_m the
     probability of a label shift by m; F + sum(D) = 1.
     """
+    import numpy as np
+
     fid, miss = row_weights(p)
     return fid, np.full(p.dim - 1, miss)
 
@@ -130,6 +143,8 @@ def joint_distribution(p: CloneParams) -> np.ndarray:
     conjugate pair (d = 0) the table is F/N on the matched diagonal and
     D_m/N on the shift-by-m diagonal.
     """
+    import numpy as np
+
     n = p.dim
     d = np.arange(4) - np.array([PARTNER[a] for a in range(4)])[:, None]  # [a, b]
     shift = 4 * (np.arange(n) - np.arange(n)[:, None])  # [k, l] = 4(l - k)

@@ -1,7 +1,7 @@
 """Qudit primitives: the phase-gradient bases, the protocol angles and the input checks.
 
-The input checks load no numpy; the two functions that build arrays
-import it when called.
+The input checks and the protocol angles load no numpy; ``phi_basis``,
+which builds an array, imports it when called.
 
 Conventions used throughout the package:
 
@@ -60,10 +60,8 @@ def phi_basis(n: int, phase: float) -> np.ndarray:
     return u
 
 
-def optimal_angles(n: int) -> np.ndarray:
+def optimal_angles(n: int) -> tuple[float, ...]:
     """The four protocol angles 2*pi*i/(4*n), i = 0..3."""
-    import numpy as np
-
     n = check_dim(n)
-    return TWO_PI * np.arange(4) / (4 * n)
+    return tuple(TWO_PI * i / (4 * n) for i in range(4))
 

@@ -1,16 +1,16 @@
 """State algebra that only the tests use, built on ``ndeb.qudit.phi_basis``.
 
 Pure states and bases as types, the Bell states built over a basis and
-their brute-force overlaps, density matrices and partial traces, basis
-conjugation and relabelings, the maximally entangled pair, the
-four-slot attack state, its reduced two-slot state, the Werner state,
-the protocol measurement bases, the outcome tables by an explicit
-Born-rule contraction, dense N^2 x N^2 Bell Gram matrices, the
-union-find invariance-class oracle, general amplitude matrices and the
-eavesdropper's information from the FFT of their rows live here rather
-than in ``ndeb``: the library computes the same quantities in closed
-form, and these slower, more literal routes are what the tests compare
-it with.
+their brute-force overlaps, the overlap table by its defining numpy
+sum, density matrices and partial traces, basis conjugation and
+relabelings, the maximally entangled pair, the four-slot attack state,
+its reduced two-slot state, the Werner state, the protocol measurement
+bases, the outcome tables by an explicit Born-rule contraction, dense
+N^2 x N^2 Bell Gram matrices, the union-find invariance-class oracle,
+general amplitude matrices and the eavesdropper's information from the
+FFT of their rows live here rather than in ``ndeb``: the library
+computes the same quantities in closed form, and these slower, more
+literal routes are what the tests compare it with.
 Unlike ``born_oracle`` they take the protocol bases from the library's
 ``phi_basis``, which stays their one definition.
 
@@ -276,8 +276,25 @@ def brute_force_gram(n: int, phi1: float, phi2: float) -> np.ndarray:
     return phi_bell_basis(n, float(phi1)).conj().T @ phi_bell_basis(n, float(phi2))
 
 
-def expand_overlap_table(table: np.ndarray) -> np.ndarray:
+def overlap_sum_table(n: int, phi1: float, phi2: float) -> np.ndarray:
+    """``bell.overlap_matrix`` by its defining sum over p, vectorized in numpy:
+    S[j, r] = (1/N) sum_p exp(1j*(-p*dphi + q*(dphi + 2*pi*r/N))), q = (p - j) % N."""
+    n = check_dim(n)
+    dphi = finite_real("phi2", phi2) - finite_real("phi1", phi1)
+    p = np.arange(n)
+    q = (p - p[:, None]) % n  # q[j, p]
+    theta = 2.0 * math.pi * p[:, None] / n  # theta[r, 0]
+    return np.exp(1j * (-p * dphi + q[:, None, :] * (dphi + theta))).sum(axis=-1) / n
+
+
+def overlap_sum_gram(n: int, phi1: float, phi2: float) -> np.ndarray:
+    """The N^2 x N^2 Gram matrix of ``overlap_sum_table``."""
+    return expand_overlap_table(overlap_sum_table(n, phi1, phi2))
+
+
+def expand_overlap_table(table) -> np.ndarray:
     """The N^2 x N^2 Gram matrix delta_{j,l} * table[j, (k-i) % N] of a compact table."""
+    table = np.asarray(table)
     n = table.shape[0]
     mat = np.zeros((n * n, n * n), dtype=complex)
     for j in range(n):
@@ -287,12 +304,14 @@ def expand_overlap_table(table: np.ndarray) -> np.ndarray:
     return mat
 
 
-def union_find_classes(n: int, phis: Sequence[float], tol: float = CLASS_TOL) -> ClassPartition:
+def union_find_classes(
+    n: int, phis: Sequence[float], tol: float = CLASS_TOL, gram=brute_force_gram
+) -> ClassPartition:
     """Invariance classes by joining every pair of cells a dense Gram matrix links.
 
-    Cells (i, j) and (k, l) are joined whenever the brute-force overlap
-    between any two angles in ``phis`` connects them with modulus above
-    ``tol``.
+    Cells (i, j) and (k, l) are joined whenever the overlap ``gram(n, a, b)``
+    between any two angles a, b in ``phis`` connects them with modulus above
+    ``tol``; by default the overlaps of the brute-force Bell vectors.
     """
     parent = list(range(n * n))
 
@@ -304,9 +323,9 @@ def union_find_classes(n: int, phis: Sequence[float], tol: float = CLASS_TOL) ->
 
     for ai in range(len(phis)):
         for bi in range(ai + 1, len(phis)):
-            gram = brute_force_gram(n, phis[ai], phis[bi])
-            for row, col in np.argwhere(np.abs(gram) > tol):
-                parent[find(int(col))] = find(int(row))
+            overlaps = gram(n, phis[ai], phis[bi])
+            for row, col in np.argwhere(np.abs(overlaps) > tol).tolist():
+                parent[find(col)] = find(row)
     groups: dict[int, set[tuple[int, int]]] = {}
     for m in range(n):
         for nn in range(n):

@@ -1,5 +1,8 @@
+import functools
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from state_tools import (
     cyclic_shift,
     expand_overlap_table,
     max_entangled,
+    overlap_sum_table,
     phi_basis_matrix,
 )
 
@@ -199,35 +203,71 @@ def test_n3_aligned_angle_difference_moduli_are_zero_or_one():
 # ------------------------------------------------------------ overlap matrix
 
 
-def loop_overlap_table(n, dphi):
-    """S[j, r] by the defining sum, one entry at a time."""
-    p = np.arange(n)
+FIXED = 1 << 140  # fixed-point unit of the high-precision sum, about 1e-42
+
+
+def _fixed(angle):
+    """exp(1j*angle) in 40-digit mpmath, as a pair of integers in units of 1/FIXED."""
+    z = mpmath.expj(angle)
+    return int(z.real * FIXED), int(z.imag * FIXED)
+
+
+def _fixed_product(z, u):
+    (a, b), (c, d) = z, u
+    return (a * c - b * d) // FIXED, (a * d + b * c) // FIXED
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_roots(n):
+    with mpmath.workdps(40):
+        return tuple(_fixed(2 * mpmath.pi * k / n) for k in range(n))
+
+
+def mp_overlap_table(n, phi1, phi2):
+    """S[j, r] by the defining sum over p, at the exact angle difference.
+
+    Each factor exp(-1j*p*dphi) and exp(1j*q*(dphi + 2*pi*r/N)) is
+    computed in 40-digit mpmath and held in fixed point, so that the sum
+    itself is exact integer arithmetic.
+    """
+    with mpmath.workdps(40):
+        dphi = mpmath.mpf(phi2) - mpmath.mpf(phi1)
+        turns = [_fixed(q * dphi) for q in range(n)]
+    left = [(a, -b) for a, b in turns]  # exp(-1j*p*dphi)
+    roots = _fixed_roots(n)
+    scale = n * FIXED * FIXED
     table = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        q = (p - j) % n
-        for r in range(n):
-            theta = 2.0 * math.pi * r / n
-            table[j, r] = np.exp(1j * (-p * dphi + q * (dphi + theta))).sum() / n
+    for r in range(n):
+        right = [_fixed_product(turns[q], roots[q * r % n]) for q in range(n)]
+        for j in range(n):
+            shifted = right[n - j:] + right[:n - j]  # shifted[p] = right[(p - j) % n]
+            re = sum(a * c - b * d for (a, b), (c, d) in zip(left, shifted))
+            im = sum(a * d + b * c for (a, b), (c, d) in zip(left, shifted))
+            table[j, r] = complex(re / scale, im / scale)
     return table
 
 
 @pytest.mark.parametrize("n", range(2, 17))
-def test_overlap_matrix_equals_loop_formula_bitwise(n):
-    # bit-equality keeps `ndeb overlap` and `ndeb classes` output bytes stable
+def test_overlap_matrix_matches_high_precision_sum(n):
+    # the six pairs of protocol angles and two random pairs with |phi| <= 4
     rng = np.random.default_rng(7300 + n)
-    diffs = [0.0, math.pi / (2 * n), 2 * math.pi / n, 0.7123, *rng.uniform(-4.0, 4.0, 2)]
-    for phi1 in (0.0, -0.35):
-        for dphi in diffs:
-            table = overlap_matrix(n, phi1, phi1 + dphi)
-            assert table.shape == (n, n)
-            np.testing.assert_array_equal(table, loop_overlap_table(n, phi1 + dphi - phi1))
+    pairs = list(itertools.combinations(optimal_angles(n), 2))
+    pairs += [tuple(float(phi) for phi in rng.uniform(-4.0, 4.0, 2)) for _ in range(2)]
+    for phi1, phi2 in pairs:
+        table = overlap_matrix(n, phi1, phi2)
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert all(type(s) is complex for row in table for s in row)
+        got = np.asarray(table)
+        assert got.shape == (n, n)
+        assert np.max(np.abs(got - mp_overlap_table(n, phi1, phi2))) < 2e-14, (phi1, phi2)
+        assert np.max(np.abs(got - overlap_sum_table(n, phi1, phi2))) < 2e-14, (phi1, phi2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_overlap_matrix_is_unitary(n):
     rng = np.random.default_rng(8100 + n)
     phi1, phi2 = rng.uniform(-3.0, 3.0, size=2)
-    table = overlap_matrix(n, phi1, phi2)
+    table = np.asarray(overlap_matrix(n, phi1, phi2))
     assert table.shape == (n, n)
     gram = expand_overlap_table(table)
     np.testing.assert_allclose(gram.conj().T @ gram, np.eye(n * n), atol=1e-12)

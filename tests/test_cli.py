@@ -121,6 +121,13 @@ def test_report_json_output(capsys):
 # ---------------------------------------------------------------- classes
 
 
+# The two classes commands of the README.
+README_CLASSES = [
+    ["--n", "3", "--phi", "0", "--phi", "0.5236"],
+    ["--n", "4", "--phi-index", "0", "--phi-index", "1", "--format", "json"],
+]
+
+
 def test_classes_text_output(capsys):
     rc, out, err = run_cli(capsys, "classes", "--n", "3", "--phi", "0", "--phi", "0.5236")
     assert rc == 0
@@ -543,17 +550,23 @@ def test_module_entry_point_runs():
 
 
 def test_table_and_report_load_no_numpy():
-    # A fresh interpreter, so that no other test's imports count.
+    # A fresh interpreter, so that no other test's imports count.  Every
+    # command but simulate runs without numpy: table and report, and the
+    # README's classes and overlap commands.
     src = str(Path(ndeb.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = [["report", "--n", "2..16"], ["table", "--n", "2..16", "--format", "json"]]
+    commands += [["classes", *argv] for argv in README_CLASSES]
+    commands += [["overlap", *argv, "--format", fmt]
+                 for argv in README_OVERLAPS for fmt in ("text", "json")]
     script = (
         "import contextlib, io, sys\n"
         "import ndeb\n"
-        "from ndeb import crossover_fidelity\n"
+        "from ndeb import crossover_fidelity, invariance_classes, overlap_matrix\n"
         "import ndeb.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['report', '--n', '2..16']) == 0\n"
-        "    assert cli.main(['table', '--n', '2..16', '--format', 'json']) == 0\n"
+        f"    for argv in {commands!r}:\n"
+        "        assert cli.main(argv) == 0, argv\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndeb.bell import overlap_matrix
 from ndeb.cloner import (
+    CLASS_TOL,
     PARTNER,
     ClassPartition,
     CloneParams,
@@ -27,6 +29,7 @@ from state_tools import (
     build_attack_state,
     einsum_joint_distribution,
     max_entangled,
+    overlap_sum_gram,
     params_to_matrix,
     phi_basis_matrix,
     reduced_state_ra,
@@ -274,6 +277,43 @@ def test_invariance_classes_match_union_find_on_optimal_angle_subsets(n):
         for subset in itertools.combinations(angles, size):
             got = invariance_classes(n, subset).sorted_classes()
             assert got == union_find_classes(n, subset).sorted_classes(), subset
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_invariance_classes_match_the_numpy_oracle(n):
+    # every subset of two or more protocol angles, two random pairs, and a
+    # pair whose difference is a multiple of 2*pi/n
+    rng = np.random.default_rng(5300 + n)
+    angles = optimal_angles(n)
+    cases = [list(sub) for size in (2, 3, 4) for sub in itertools.combinations(angles, size)]
+    cases += [[float(phi) for phi in rng.uniform(-4.0, 4.0, 2)] for _ in range(2)]
+    base = float(rng.uniform(-4.0, 4.0))
+    cases.append([base, base + 2 * math.pi * int(rng.integers(1, n)) / n])
+    for phis in cases:
+        got = invariance_classes(n, phis).sorted_classes()
+        want = union_find_classes(n, phis, gram=overlap_sum_gram).sorted_classes()
+        assert got == want, phis
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_invariance_class_count_follows_the_overlap_moduli(n):
+    # |S[j, r]| = |2 sin(n dphi/2)| |sin(pi j r/n)| / (n |sin(pi r/n)|) for r != 0,
+    # so two angles give n^2 classes when n dphi is a multiple of 2*pi and
+    # 2n - 1 otherwise
+    rng = np.random.default_rng(5400 + n)
+    phi1 = float(rng.uniform(-4.0, 4.0))
+    steps = [math.pi / (2 * n), 0.7123, float(rng.uniform(-4.0, 4.0)), 2 * math.pi / n,
+             2 * math.pi * (n - 1) / n]
+    for dphi in steps:
+        table = overlap_matrix(n, phi1, phi1 + dphi)
+        beat = abs(2 * math.sin(n * dphi / 2))
+        for j, row in enumerate(table):
+            for r in range(1, n):
+                law = beat * abs(math.sin(math.pi * j * r / n))
+                law /= n * abs(math.sin(math.pi * r / n))
+                assert abs(abs(row[r]) - law) < 1e-14, (dphi, j, r)
+        count = n * n if beat < CLASS_TOL else 2 * n - 1
+        assert len(invariance_classes(n, [phi1, phi1 + dphi])) == count, dphi
 
 
 @st.composite
