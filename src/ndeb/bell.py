@@ -63,22 +63,28 @@ def overlap_matrix(n: int, phi1: float, phi2: float) -> tuple[tuple[complex, ...
     n = check_dim(n)
     dphi = finite_real("phi2", phi2) - finite_real("phi1", phi1)
     roots = [cmath.rect(1.0, 2.0 * math.pi * k / n) for k in range(n)]
+    return tuple(_overlap_row(n, j, dphi, range(n), roots) for j in range(n))
+
+
+def _overlap_row(n: int, j: int, dphi: float, shifts, roots) -> tuple[complex, ...]:
+    """S[j, r] of ``overlap_matrix`` for each r in ``shifts``, with roots[k] = exp(2j*pi*k/N)."""
     w = cmath.rect(1.0, n * dphi)
-    rows = []
-    for j in range(n):
-        turn = cmath.rect(1.0, -j * dphi)
-        row = [turn * ((n - j) + w * j) / n]
-        for r in range(1, n):
+    turn = cmath.rect(1.0, -j * dphi)
+    w_minus_1 = w - 1.0
+    row = []
+    for r in shifts:
+        if r:
             # the first j terms of the series, sum_{p<j} exp(1j*p*theta), over N
             head = (1.0 - roots[j * r % n]) / (n * (1.0 - roots[r]))
-            row.append(turn * roots[-j * r % n] * (w - 1.0) * head)
-        rows.append(tuple(row))
-    return tuple(rows)
+            row.append(turn * roots[-j * r % n] * w_minus_1 * head)
+        else:
+            row.append(turn * ((n - j) + w * j) / n)
+    return tuple(row)
 
 
 def bell_overlap(n: int, phi1: float, phi2: float, idx1: BellIndex, idx2: BellIndex) -> complex:
     """<B(phi1, idx1) | B(phi2, idx2)> for same-variant index pairs: one entry of
-    ``overlap_matrix``, conjugated for the BC variant."""
+    ``overlap_matrix``, computed alone and conjugated for the BC variant."""
     n = check_dim(n)
     phi1, phi2 = finite_real("phi1", phi1), finite_real("phi2", phi2)
     if idx1.variant != idx2.variant:
@@ -86,7 +92,7 @@ def bell_overlap(n: int, phi1: float, phi2: float, idx1: BellIndex, idx2: BellIn
     idx1, idx2 = idx1.normalized(n), idx2.normalized(n)
     if idx1.n != idx2.n:
         return 0.0 + 0.0j
-    value = overlap_matrix(n, phi1, phi2)[idx1.n][(idx2.m - idx1.m) % n]
-    if idx1.variant == "BC":
-        value = value.conjugate()
-    return value
+    j, r = idx1.n, (idx2.m - idx1.m) % n
+    roots = {k: cmath.rect(1.0, 2.0 * math.pi * k / n) for k in (r, j * r % n, -j * r % n)}
+    (value,) = _overlap_row(n, j, phi2 - phi1, (r,), roots)
+    return value.conjugate() if idx1.variant == "BC" else value

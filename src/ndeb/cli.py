@@ -213,21 +213,19 @@ def write_report(fh: TextIO, report: SimReport) -> None:
     """
     import numpy as np
 
-    from .sim import key_columns, key_rows
+    from .sim import key_row
 
     payload = {**report.summary(), "key_symbols": []}
     head, tail = json.dumps(_envelope("simulate", payload), indent=2).rsplit("[]", 1)
     fh.write(head)
-    key, n = report.key_symbols, report.n
-    if len(key) == 0:
+    flat, n = report.key_symbols, report.n
+    if len(flat) == 0:
         fh.write("[]")
     else:
         # Rows sit three levels deep: envelope, payload, key list.
         indent = "\n" + " " * 6
-        table = key_rows(key_columns(np.arange(n * n), n, key.shape[1] == 3))
-        texts = np.array([json.dumps(row, indent=2).replace("\n", indent) for row in table],
-                         dtype=object)
-        flat = key[:, 0] * n + key[:, 1]
+        texts = np.array([json.dumps(key_row(f, n, report.attacked), indent=2)
+                          .replace("\n", indent) for f in range(n * n)], dtype=object)
         sep = "," + indent
         fh.write("[" + indent)
         for lo in range(0, len(flat), KEY_ROWS_PER_WRITE):

@@ -13,12 +13,9 @@ variates for every round, then Bob's, then the outcome variates - so
 the report is a pure function of (config, seed).  Each of the three
 passes runs in blocks of ``BLOCK_ROUNDS`` rounds, which bounds the
 temporaries; only the basis pair of each round (one byte) and the
-sifted key are held for the whole run.  The ``shards`` argument is
-accepted and has no effect.
-
-Rounds are processed as arrays; the sifted key is an int64 array with
-one row per sifted round: (alice, bob, (bob - alice) mod n) under
-attack, (alice, bob) on a clean run.
+sifted key, as flat outcomes alice*n + bob (one byte each for n <= 16),
+are held for the whole run.  The QBER and the plug-in information are
+read from the count tables.  The ``shards`` argument has no effect.
 """
 from __future__ import annotations
 
@@ -62,30 +59,25 @@ def _require_keys(kind: str, d: Any, keys) -> None:
         raise ValueError(f"{kind} missing required keys: {', '.join(missing)}")
 
 
-def key_columns(flat: np.ndarray, n: int, attacked: bool) -> np.ndarray:
-    """Key rows of flat outcomes k*n + l, as an int64 array.
-
-    Columns alice = k, bob = l and, under attack, the eavesdropper
-    branch (bob - alice) mod n.
-    """
-    flat = np.asarray(flat, dtype=np.int64)
-    alice, bob = flat // n, flat % n
-    return np.stack([alice, bob, (bob - alice) % n] if attacked else [alice, bob], axis=1)
+def key_row(flat: int, n: int, attacked: bool) -> list[int | None]:
+    """Report row [alice, bob, branch] of the flat outcome alice*n + bob; the
+    eavesdropper's branch is (bob - alice) mod n under attack, None on a clean run."""
+    alice, bob = divmod(flat, n)
+    return [alice, bob, (bob - alice) % n if attacked else None]
 
 
-def key_rows(key: np.ndarray) -> list[list[int | None]]:
-    """Key rows as report lists: [alice, bob, branch], branch None on a clean run."""
-    if key.shape[1] == 2:
-        return [[alice, bob, None] for alice, bob in zip(*key.T.tolist())]
-    return key.tolist()
+def sifted_table(tables: np.ndarray) -> np.ndarray:
+    """(n, n) outcome counts of the sifted rounds, the conjugate-pair tables summed:
+    its sum is the sifted round count, its sum minus its trace the error count."""
+    return np.asarray(tables)[_SIFTED.reshape(4, 4)].sum(axis=0)
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One simulation run: dimension, round count, weights, attack, seed.
 
-    Memory grows with ``rounds`` (the basis pairs and the sifted key
-    are held for the whole run), so it is capped at ``MAX_ROUNDS``.
+    Memory grows with ``rounds`` (a basis pair per round and a flat
+    outcome per sifted round are held), so it is capped at ``MAX_ROUNDS``.
     """
 
     MAX_ROUNDS = 10 ** 7
@@ -165,11 +157,10 @@ class SimReport:
     """Aggregated outcome of a run.
 
     per_pair_tables[a][b][k][l] counts rounds with basis pair (a, b) and
-    outcome pair (k, l).  key_symbols is an int64 array of the sifted
-    rounds in order: shape (S, 3) with columns alice, bob and the
-    eavesdropper branch (bob - alice) mod n under attack, shape (S, 2)
-    on a clean run, which has no branch.  ``to_dict`` writes a clean
-    row as [alice, bob, null]; an empty key reads back with 2 columns.
+    outcome pair (k, l).  key_symbols holds the sifted rounds' flat
+    outcomes alice*n + bob in round order, 1-D; ``to_dict`` writes each
+    as its ``key_row``.  ``attacked`` is not written: a report's first
+    row tells it, and an empty key reads back as a clean run.
     """
 
     n: int
@@ -179,7 +170,8 @@ class SimReport:
     qber_stderr: float
     empirical_i_ab: float
     per_pair_tables: np.ndarray
-    key_symbols: np.ndarray = field(default_factory=lambda: np.empty((0, 2), np.int64))
+    key_symbols: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
+    attacked: bool = False
 
     SCALARS = ("n", "rounds", "sifted_fraction", "qber", "qber_stderr", "empirical_i_ab")
 
@@ -190,7 +182,8 @@ class SimReport:
         return fields
 
     def to_dict(self) -> dict[str, Any]:
-        return {**self.summary(), "key_symbols": key_rows(self.key_symbols)}
+        key = [key_row(flat, self.n, self.attacked) for flat in self.key_symbols.tolist()]
+        return {**self.summary(), "key_symbols": key}
 
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "SimReport":
@@ -202,32 +195,36 @@ class SimReport:
             raise ValueError("key_symbols must be a list of [alice, bob, branch] rows")
         if any(len(row) != 3 for row in rows):
             raise ValueError("every key row must hold 3 entries: alice, bob, branch")
-        width = 3 if rows and rows[0][2] is not None else 2
-        if any((row[2] is None) != (width == 2) for row in rows):
-            raise ValueError("key symbols mix rows with and without a branch")
+        attacked = bool(rows) and rows[0][2] is not None
+        flats = []
         for row in rows:
-            for value in row[:width]:
+            alice, bob, branch = row
+            if (branch is None) == attacked:
+                raise ValueError("key symbols mix rows with and without a branch")
+            for value in row if attacked else row[:2]:
                 strict_int("key symbol", value)
-        key = np.array([r[:width] for r in rows], np.int64).reshape(-1, width)
-        if key.size and (key.min() < 0 or key.max() >= n):
-            raise ValueError(f"key symbols must lie in 0..{n - 1}")
-        flat = key[:, 0] * n + key[:, 1]
-        if not np.array_equal(key, key_columns(flat, n, width == 3)):
-            raise ValueError("a key branch is not (bob - alice) mod n")
+            if not (0 <= alice < n and 0 <= bob < n):
+                raise ValueError(f"key symbols must lie in 0..{n - 1}")
+            flats.append(alice * n + bob)
+            if branch != key_row(flats[-1], n, attacked)[2]:
+                raise ValueError("a key branch is not (bob - alice) mod n")
         tables = np.asarray(d["per_pair_tables"], dtype=object)
         if tables.shape != (4, 4, n, n):
-            raise ValueError(
-                f"per_pair_tables must have shape (4, 4, {n}, {n}), got {tables.shape}"
-            )
+            raise ValueError(f"per_pair_tables must have shape (4, 4, {n}, {n}), "
+                             f"got {tables.shape}")
         for count in tables.flat:
             if strict_int("table count", count) < 0:
                 raise ValueError(f"table counts must be >= 0, got {count}")
         tables = tables.astype(np.int64)
         if tables.sum() != rounds:
             raise ValueError(f"table counts sum to {tables.sum()}, not rounds={rounds}")
+        key = np.array(flats, dtype=np.min_scalar_type(n * n - 1))
+        if not np.array_equal(np.bincount(key, minlength=n * n), sifted_table(tables).ravel()):
+            raise ValueError("key rows do not match the sifted counts of per_pair_tables")
         floats = {name: finite_real(name, d[name])
                   for name in ("sifted_fraction", "qber", "qber_stderr", "empirical_i_ab")}
-        return SimReport(n=n, rounds=rounds, per_pair_tables=tables, key_symbols=key, **floats)
+        return SimReport(n=n, rounds=rounds, per_pair_tables=tables, key_symbols=key,
+                         attacked=attacked, **floats)
 
 
 def _outcome_cdfs(cfg: ProtocolConfig) -> np.ndarray:
@@ -269,7 +266,7 @@ def _sample_block(
     order = np.argsort(pair, kind="stable")
     ends = np.cumsum(np.bincount(pair, minlength=16)).tolist()
     counts = np.empty((16, size), dtype=np.int64)
-    flat = np.empty(pair.size, dtype=np.intp)
+    flat = np.empty(pair.size, dtype=np.min_scalar_type(size - 1))
     lo = 0
     for p, hi in enumerate(ends):
         rows = order[lo:hi]
@@ -313,11 +310,10 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
         block_counts, block_sifted = _sample_block(cdfs, block, rng.random(block.size))
         counts += block_counts
         sifted.append(block_sifted)
-    key = key_columns(np.concatenate(sifted), n, cfg.attack is not None)
-
-    n_sift = len(key)
-    n_err = int(np.count_nonzero(key[:, 0] != key[:, 1]))
-    qber = n_err / n_sift if n_sift else 0.0
+    tables = counts.reshape(4, 4, n, n)
+    sift = sifted_table(tables)
+    n_sift = int(sift.sum())
+    qber = (n_sift - int(np.trace(sift))) / n_sift if n_sift else 0.0
     stderr = math.sqrt(qber * (1.0 - qber) / n_sift) if n_sift else 0.0
     report = SimReport(
         n=n,
@@ -326,8 +322,9 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
         qber=qber,
         qber_stderr=stderr,
         empirical_i_ab=0.0,
-        per_pair_tables=counts.reshape(4, 4, n, n),
-        key_symbols=key,
+        per_pair_tables=tables,
+        key_symbols=np.concatenate(sifted),
+        attacked=cfg.attack is not None,
     )
     report.empirical_i_ab = empirical_info(report) if n_sift else 0.0
     return report
@@ -335,9 +332,7 @@ def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
 
 def empirical_info(report: SimReport) -> float:
     """Plug-in mutual information of the sifted symbol counts, in bits."""
-    table = np.zeros((report.n, report.n), dtype=np.int64)
-    for a, b in conjugate_pairs():
-        table += report.per_pair_tables[a, b]
+    table = sifted_table(report.per_pair_tables)
     total = int(table.sum())
     if total == 0:
         raise ValueError("empty sift: report contains no conjugate-pair rounds")

@@ -1,9 +1,10 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndeb.bell import overlap_matrix
@@ -26,6 +27,7 @@ from state_tools import (
     alice_measurement_basis,
     basis_relabeling,
     bob_measurement_basis,
+    brute_force_gram,
     build_attack_state,
     einsum_joint_distribution,
     max_entangled,
@@ -295,6 +297,32 @@ def test_invariance_classes_match_the_numpy_oracle(n):
         assert got == want, phis
 
 
+def modulus_law(n, dphi, j, r, m=math):
+    """|S[j, r]| for r != 0 by the closed form, in the arithmetic of module m
+    (``math``, or ``mpmath`` at its working precision)."""
+    beat = abs(2 * m.sin(n * dphi / 2))
+    return beat * abs(m.sin(m.pi * j * r / n)) / (n * abs(m.sin(m.pi * r / n)))
+
+
+def decided_gram(n, phi1, phi2):
+    """``brute_force_gram`` with each link that rounding could flip decided exactly.
+
+    An overlap whose modulus lies within 1e-12 of CLASS_TOL links its
+    cells only if the 40-digit modulus law exceeds CLASS_TOL; it is set
+    to 2 * CLASS_TOL if so and to 0 otherwise.
+    """
+    gram = brute_force_gram(n, phi1, phi2).copy()
+    for row, col in np.argwhere(abs(np.abs(gram) - CLASS_TOL) < 1e-12).tolist():
+        (i, j), (k, l) = divmod(row, n), divmod(col, n)
+        linked = False
+        if j == l and i != k:
+            with mpmath.workdps(40):
+                dphi = mpmath.mpf(phi2) - mpmath.mpf(phi1)
+                linked = modulus_law(n, dphi, j, (k - i) % n, mpmath) > CLASS_TOL
+        gram[row, col] = 2 * CLASS_TOL if linked else 0.0
+    return gram
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_invariance_class_count_follows_the_overlap_moduli(n):
     # |S[j, r]| = |2 sin(n dphi/2)| |sin(pi j r/n)| / (n |sin(pi r/n)|) for r != 0,
@@ -309,8 +337,7 @@ def test_invariance_class_count_follows_the_overlap_moduli(n):
         beat = abs(2 * math.sin(n * dphi / 2))
         for j, row in enumerate(table):
             for r in range(1, n):
-                law = beat * abs(math.sin(math.pi * j * r / n))
-                law /= n * abs(math.sin(math.pi * r / n))
+                law = modulus_law(n, dphi, j, r)
                 assert abs(abs(row[r]) - law) < 1e-14, (dphi, j, r)
         count = n * n if beat < CLASS_TOL else 2 * n - 1
         assert len(invariance_classes(n, [phi1, phi1 + dphi])) == count, dphi
@@ -331,10 +358,13 @@ def angle_lists(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(angle_lists())
+@example(case=(2, [1e-9, 0.0]))
 def test_property_invariance_classes_match_union_find(case):
+    # at (2, [1e-9, 0.0]), |S[1, 1]| = sin(1e-9) lies just below CLASS_TOL,
+    # and the brute-force overlap rounds it to just above
     n, phis = case
     got = invariance_classes(n, phis).sorted_classes()
-    assert got == union_find_classes(n, phis).sorted_classes()
+    assert got == union_find_classes(n, phis, gram=decided_gram).sorted_classes()
 
 
 def test_class_partition_rejects_overlap_and_gaps():

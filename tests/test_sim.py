@@ -296,8 +296,12 @@ def test_no_attack_run_has_zero_qber(n):
     for a, b in conjugate_pairs():
         table = report.per_pair_tables[a, b]
         assert table.sum() == np.trace(table)
-    assert report.key_symbols.shape[1:] == (2,)
-    assert (report.key_symbols[:, 0] == report.key_symbols[:, 1]).all()
+    assert not report.attacked
+    alice, bob = np.divmod(report.key_symbols, n)
+    assert (alice == bob).all()
+    rows = report.to_dict()["key_symbols"]
+    assert len(rows) == len(report.key_symbols)
+    assert all(alice == bob and branch is None for alice, bob, branch in rows)
 
 
 def test_no_attack_empirical_info_is_full_alphabet():
@@ -347,9 +351,11 @@ def test_attacked_symbols_carry_branch():
     cfg = make_config(rounds=5000, attack=CROSSOVER3)
     report = run_simulation(cfg)
     assert len(report.key_symbols) > 0
-    assert report.key_symbols.shape[1:] == (3,)
-    assert report.key_symbols.dtype == np.int64
-    for alice, bob, branch in report.key_symbols:
+    assert report.attacked
+    assert report.key_symbols.ndim == 1
+    rows = report.to_dict()["key_symbols"]
+    assert [alice * 3 + bob for alice, bob, _ in rows] == report.key_symbols.tolist()
+    for alice, bob, branch in rows:
         assert branch == (bob - alice) % 3
 
 
@@ -486,6 +492,26 @@ def test_report_dict_round_trip(overrides):
     report = run_simulation(make_config(**overrides))
     again = SimReport.from_dict(report.to_dict())
     assert report_digest(again) == report_digest(report)
+
+
+def _move_row(rows):
+    """The key with its first row moved to the next outcome cell."""
+    alice, bob, branch = rows[0]
+    bob = (bob + 1) % 3
+    return [[alice, bob, None if branch is None else (bob - alice) % 3], *rows[1:]]
+
+
+@pytest.mark.parametrize("attack", [None, CROSSOVER3], ids=["clean", "attacked"])
+@pytest.mark.parametrize(
+    "change",
+    [lambda rows: rows[1:], _move_row],
+    ids=["dropped-row", "moved-row"],
+)
+def test_report_from_dict_rejects_a_key_that_disagrees_with_the_tables(attack, change):
+    raw = run_simulation(make_config(rounds=300, attack=attack)).to_dict()
+    raw["key_symbols"] = change(raw["key_symbols"])
+    with pytest.raises(ValueError, match="sifted counts"):
+        SimReport.from_dict(raw)
 
 
 def test_report_from_dict_rejects_mixed_key_rows():
