@@ -2,8 +2,8 @@
 
 Public names are imported from their modules on first use (PEP 562), so
 ``import ndeb`` loads no submodule.  Only the simulation names load
-numpy on import; ``phi_basis``, ``fidelity_disturbances`` and
-``joint_distribution`` import it when called.
+numpy on import; ``phi_basis`` imports it when called, and the rest run
+in plain Python.
 """
 import importlib
 
@@ -17,12 +17,10 @@ _SOURCES = {
     "bell_overlap": "bell",
     "overlap_matrix": "bell",
     "ClassPartition": "cloner",
-    "fidelity_disturbances": "cloner",
     "invariance_classes": "cloner",
     "joint_distribution": "cloner",
     "werner_noise_fraction": "cloner",
     "CloneParams": "info",
-    "entropy": "info",
     "i_ab": "info",
     "i_ae": "info",
     "ThresholdRecord": "thresholds",

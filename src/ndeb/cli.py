@@ -239,6 +239,9 @@ def write_report(fh: TextIO, report: SimReport) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .sim import ProtocolConfig, run_simulation
 
+    # --shards has no effect; it is kept, and checked, for callers that pass it.
+    if args.shards < 1:
+        raise CliError(f"--shards must be >= 1, got {args.shards}")
     if not os.path.exists(args.config):
         raise CliError(f"config file not found: {args.config}")
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -251,7 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError:
             raise CliError(f"NDEB_SEED must be an int, got {env_seed!r}") from None
     cfg = ProtocolConfig.from_dict(raw)
-    report = run_simulation(cfg, shards=args.shards)
+    report = run_simulation(cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_report(fh, report)
     print(

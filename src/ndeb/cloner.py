@@ -1,4 +1,4 @@
-"""Shift-covariant attacks: invariance classes, row weights and outcome tables.
+"""Shift-covariant attacks: invariance classes and outcome tables.
 
 An individual attack on the entangled pair is described by a pure state
 on four slots ordered (reference, clone_a, clone_b, machine):
@@ -18,11 +18,9 @@ property that lets a single attack cover every sifted basis choice.
 The library computes with one member of that invariant set, the
 symmetric family ``CloneParams(v, x, y)`` of ``ndeb.info``: two
 distinct rows, (v, y, ..., y) once and (x, y, ..., y) N - 1 times.
-``fidelity_disturbances`` gives its row weights and
-``joint_distribution`` its exact outcome tables in every pair of
-protocol bases; these two import numpy when called, and the rest of the
-module runs in plain Python.  General amplitude matrices are built only
-by the tests.
+``joint_distribution`` gives its exact outcome tables in every pair of
+protocol bases.  The module runs in plain Python and loads no numpy.
+General amplitude matrices are built only by the tests.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bell import overlap_matrix
-from .info import CloneParams, row_weights
+from .info import CloneParams
 from .qudit import check_dim, finite_real
 
 CLASS_TOL = 1e-9
@@ -109,25 +107,14 @@ def invariance_classes(n: int, phis: Sequence[float]) -> ClassPartition:
     return ClassPartition(n, tuple(classes))
 
 
-def fidelity_disturbances(p: CloneParams) -> tuple[float, np.ndarray]:
-    """(F, [D_1 .. D_{N-1}]): row weights of the amplitude matrix.
-
-    F is the probability that the key copy is undisturbed and D_m the
-    probability of a label shift by m; F + sum(D) = 1.
-    """
-    import numpy as np
-
-    fid, miss = row_weights(p)
-    return fid, np.full(p.dim - 1, miss)
-
-
 def werner_noise_fraction(p: CloneParams) -> float:
     """Weight of the isotropic-noise component seen by the two key slots."""
     return 1.0 - (p.v * p.v - p.x * p.x)
 
 
-def joint_distribution(p: CloneParams) -> np.ndarray:
-    """P[a, b, k, l] for every Alice index a and Bob index b, shape (4, 4, N, N).
+def joint_distribution(p: CloneParams) -> tuple:
+    """P[a][b][k][l] for every Alice index a and Bob index b, as nested
+    tuples of shape (4, 4, N, N).
 
     The key pair is left in (v^2 - x^2) |phi+><phi+| + (x^2 - y^2)
     sum_k |kk><kk| + y^2 I.  Every protocol basis is unbiased with respect
@@ -137,23 +124,30 @@ def joint_distribution(p: CloneParams) -> np.ndarray:
     outcome l in the basis at angle 2*pi*b/(4N); on |phi+> the pair then
     scores the Fejer kernel
 
-        T = sin^2(pi d/4) / (N^3 sin^2(pi (4(l - k) + d) / (4N))),
+        T = sin^2(pi d/4) / (N^3 sin^2(pi m / (4N))),   m = 4(l - k) + d,
 
-    d = b - PARTNER[a], and T = 1/N where 4(l - k) + d = 0 mod 4N.  On a
-    conjugate pair (d = 0) the table is F/N on the matched diagonal and
-    D_m/N on the shift-by-m diagonal.
+    d = b - PARTNER[a], and T = 1/N where m = 0 mod 4N.  On a conjugate
+    pair (d = 0) the table is F/N on the matched diagonal and D_m/N on the
+    shift-by-m diagonal.  A table depends on (a, b) only through d, and
+    its row k is row 0 shifted right by k, so each of the seven tables is
+    built once from one value per m and shared by the basis pairs with
+    that d.
     """
-    import numpy as np
-
     n = p.dim
-    d = np.arange(4) - np.array([PARTNER[a] for a in range(4)])[:, None]  # [a, b]
-    shift = 4 * (np.arange(n) - np.arange(n)[:, None])  # [k, l] = 4(l - k)
-    m = d[:, :, None, None] + shift
-    kernel = np.divide(
-        np.sin(np.pi * d / 4)[:, :, None, None] ** 2,
-        n ** 3 * np.sin(np.pi * m / (4 * n)) ** 2,
-        out=np.full(m.shape, 1.0 / n),
-        where=m % (4 * n) != 0,
-    )
+    coef = 1.0 - werner_noise_fraction(p)
     flat = (p.x * p.x - p.y * p.y) / n + p.y * p.y
-    return (1.0 - werner_noise_fraction(p)) * kernel + flat
+    tables = {}
+    for d in range(-3, 4):
+        top = math.sin(math.pi * d / 4)
+        top *= top
+        cells = []  # cells[t + n - 1]: the cell with l - k = t
+        for t in range(1 - n, n):
+            m = d + 4 * t
+            if m % (4 * n):
+                s = math.sin(math.pi * m / (4 * n))
+                kernel = top / (n ** 3 * (s * s))
+            else:
+                kernel = 1.0 / n
+            cells.append(coef * kernel + flat)
+        tables[d] = tuple(tuple(cells[n - 1 - k:2 * n - 1 - k]) for k in range(n))
+    return tuple(tuple(tables[b - PARTNER[a]] for b in range(4)) for a in range(4))

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 from .qudit import ATOL, check_dim, finite_real
 
-PROB_ATOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CloneParams:
@@ -68,22 +66,6 @@ def row_weights(p: CloneParams) -> tuple[float, float]:
 
 def _xlog2x(t: float) -> float:
     return t * math.log2(t) if t > 0.0 else 0.0
-
-
-def entropy(dist) -> float:
-    """Shannon entropy in bits of a sequence of probabilities; 0*log(0) = 0."""
-    try:
-        probs = [finite_real("probability", p) for p in dist]
-    except TypeError:
-        raise ValueError(f"distribution must be a sequence of numbers, got {dist!r}") from None
-    if not probs:
-        raise ValueError("empty probability distribution")
-    if min(probs) < -1e-12:
-        raise ValueError(f"negative probability {min(probs)}")
-    total = math.fsum(probs)
-    if abs(total - 1.0) > PROB_ATOL:
-        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-10")
-    return -math.fsum(map(_xlog2x, probs))
 
 
 def i_ab(p: CloneParams) -> float:

@@ -15,7 +15,7 @@ passes runs in blocks of ``BLOCK_ROUNDS`` rounds, which bounds the
 temporaries; only the basis pair of each round (one byte) and the
 sifted key, as flat outcomes alice*n + bob (one byte each for n <= 16),
 are held for the whole run.  The QBER and the plug-in information are
-read from the count tables.  The ``shards`` argument has no effect.
+read from the count tables.
 """
 from __future__ import annotations
 
@@ -234,7 +234,7 @@ def _outcome_cdfs(cfg: ProtocolConfig) -> np.ndarray:
     0, so every row is nondecreasing, as ``searchsorted`` requires.
     """
     params = cfg.attack if cfg.attack is not None else CloneParams.identity(cfg.n)
-    table = joint_distribution(params).reshape(16, -1)
+    table = np.array(joint_distribution(params), dtype=float).reshape(16, -1)
     return np.cumsum(np.maximum(table, 0.0), axis=-1)
 
 
@@ -278,16 +278,9 @@ def _sample_block(
     return counts.ravel(), flat[_SIFTED[pair]]
 
 
-def run_simulation(cfg: ProtocolConfig, shards: int = 1) -> SimReport:
-    """Run ``cfg.rounds`` protocol rounds and aggregate them into a report.
-
-    Rounds are sampled in blocks of ``BLOCK_ROUNDS``.  ``shards`` must be
-    an int >= 1 and has no effect: it is kept so that callers passing it
-    still run, and the report is identical for every value.
-    """
-    shards = strict_int("shards", shards)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+def run_simulation(cfg: ProtocolConfig) -> SimReport:
+    """Run ``cfg.rounds`` protocol rounds, sampled in blocks of
+    ``BLOCK_ROUNDS``, and aggregate them into a report."""
     n, rounds = cfg.n, cfg.rounds
     cdfs = _outcome_cdfs(cfg)
 

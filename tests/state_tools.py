@@ -10,7 +10,10 @@ N^2 x N^2 Bell Gram matrices, the union-find invariance-class oracle,
 general amplitude matrices and the eavesdropper's information from the
 FFT of their rows live here rather than in ``ndeb``: the library
 computes the same quantities in closed form, and these slower, more
-literal routes are what the tests compare it with.
+literal routes are what the tests compare it with.  So do the helpers
+only the tests call: ``entropy``, the row weights as
+``fidelity_disturbances``, and ``numpy_joint_distribution``, the numpy
+expression the library's plain-Python tables must match bit for bit.
 Unlike ``born_oracle`` they take the protocol bases from the library's
 ``phi_basis``, which stays their one definition.
 
@@ -25,10 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from ndeb.bell import BellIndex
-from ndeb.cloner import CLASS_TOL, PARTNER, ClassPartition, CloneParams
+from ndeb.cloner import CLASS_TOL, PARTNER, ClassPartition, CloneParams, werner_noise_fraction
+from ndeb.info import row_weights
 from ndeb.qudit import ATOL, check_dim, finite_real, optimal_angles, phi_basis, strict_int
 
 EIG_ATOL = 1e-10
+PROB_ATOL = 1e-10
 
 
 # ---------------------------------------------------------------- states
@@ -296,12 +301,10 @@ def expand_overlap_table(table) -> np.ndarray:
     """The N^2 x N^2 Gram matrix delta_{j,l} * table[j, (k-i) % N] of a compact table."""
     table = np.asarray(table)
     n = table.shape[0]
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                mat[i * n + j, k * n + j] = table[j, (k - i) % n]
-    return mat
+    i, j, k = np.ogrid[:n, :n, :n]
+    mat = np.zeros((n, n, n, n), dtype=complex)  # [i, j, k, l]
+    mat[i, j, k, j] = table[j, (k - i) % n]
+    return mat.reshape(n * n, n * n)
 
 
 def union_find_classes(
@@ -425,6 +428,32 @@ def _xlog2x(t: np.ndarray) -> np.ndarray:
     return t * np.log2(t, out=np.zeros_like(t), where=t > 0.0)
 
 
+def entropy(dist) -> float:
+    """Shannon entropy in bits of a sequence of probabilities; 0*log(0) = 0."""
+    try:
+        probs = [finite_real("probability", p) for p in dist]
+    except TypeError:
+        raise ValueError(f"distribution must be a sequence of numbers, got {dist!r}") from None
+    if not probs:
+        raise ValueError("empty probability distribution")
+    if min(probs) < -1e-12:
+        raise ValueError(f"negative probability {min(probs)}")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > PROB_ATOL:
+        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-10")
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+
+
+def fidelity_disturbances(p: CloneParams) -> tuple[float, np.ndarray]:
+    """(F, [D_1 .. D_{N-1}]): row weights of the amplitude matrix.
+
+    F is the probability that the key copy is undisturbed and D_m the
+    probability of a label shift by m; F + sum(D) = 1.
+    """
+    fid, miss = row_weights(p)
+    return fid, np.full(p.dim - 1, miss)
+
+
 def matrix_fidelity_disturbances(p: CloneParams | AmplitudeMatrix) -> tuple[float, np.ndarray]:
     """(F, [D_1 .. D_{N-1}]) as the N row weights of the amplitude matrix."""
     rows, counts = branch_rows(p)
@@ -543,3 +572,20 @@ def state_tables(rho: DensityMatrix) -> np.ndarray:
 def einsum_joint_distribution(p: CloneParams) -> np.ndarray:
     """``joint_distribution`` by contracting the written-out reduced state."""
     return state_tables(reduced_state_ra(p))
+
+
+def numpy_joint_distribution(p: CloneParams) -> np.ndarray:
+    """``joint_distribution`` as one numpy expression over the whole (4, 4, N, N)
+    grid, in the library's order of operations, so the two agree bit for bit."""
+    n = p.dim
+    d = np.arange(4) - np.array([PARTNER[a] for a in range(4)])[:, None]  # [a, b]
+    shift = 4 * (np.arange(n) - np.arange(n)[:, None])  # [k, l] = 4(l - k)
+    m = d[:, :, None, None] + shift
+    kernel = np.divide(
+        np.sin(np.pi * d / 4)[:, :, None, None] ** 2,
+        n ** 3 * np.sin(np.pi * m / (4 * n)) ** 2,
+        out=np.full(m.shape, 1.0 / n),
+        where=m % (4 * n) != 0,
+    )
+    flat = (p.x * p.x - p.y * p.y) / n + p.y * p.y
+    return (1.0 - werner_noise_fraction(p)) * kernel + flat

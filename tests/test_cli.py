@@ -332,12 +332,23 @@ def test_simulate_huge_shard_count_matches_one_shard(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("shards", ["0", "-3"])
+def test_simulate_rejects_a_shard_count_below_one(tmp_path, capsys, shards):
+    cfg = write_config(tmp_path, rounds=10)
+    out = tmp_path / "report.json"
+    rc, _, err = run_cli(capsys, "simulate", str(cfg), str(out), "--shards", shards)
+    assert rc == 2
+    assert f"--shards must be >= 1, got {shards}" in err
+    assert not out.exists()
+
+
 CROSSOVER3 = {"v": 0.8319757906688726, "x": 0.17108599520763154, "y": 0.2038281335784852}
 GOLDEN_BASE = dict(n=3, rounds=20000, basis_weights=[0.25] * 4, attack=None, seed=20240811)
 
 # sha256 of the file `ndeb simulate` writes, taken from the json.dump
-# writer: the first six are the configs of test_report_golden_digest, the
-# last two small versions of the benchmark's simulate workloads.
+# writer: the first six run the first five configs of test_report_golden_digest
+# (the first at --shards 1 and 3), the last two small versions of the
+# benchmark's simulate workloads.
 GOLDEN_REPORT_FILES = [
     (dict(attack=CROSSOVER3, rounds=10001), 1,
      "e7c8b8c5fa2785e96707be77f5fb0ec4179c71a24652e7a42b1d7d4df5579507"),
@@ -552,7 +563,7 @@ def test_module_entry_point_runs():
 def test_table_and_report_load_no_numpy():
     # A fresh interpreter, so that no other test's imports count.  Every
     # command but simulate runs without numpy: table and report, and the
-    # README's classes and overlap commands.
+    # README's classes and overlap commands.  So do the exact outcome tables.
     src = str(Path(ndeb.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = [["report", "--n", "2..16"], ["table", "--n", "2..16", "--format", "json"]]
@@ -564,6 +575,9 @@ def test_table_and_report_load_no_numpy():
         "import ndeb\n"
         "from ndeb import crossover_fidelity, invariance_classes, overlap_matrix\n"
         "import ndeb.cli as cli\n"
+        "from ndeb.cloner import joint_distribution\n"
+        "from ndeb.info import CloneParams\n"
+        "joint_distribution(CloneParams.identity(16))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    for argv in {commands!r}:\n"
         "        assert cli.main(argv) == 0, argv\n"

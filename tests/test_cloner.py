@@ -1,5 +1,8 @@
+import functools
 import itertools
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,7 +16,6 @@ from ndeb.cloner import (
     PARTNER,
     ClassPartition,
     CloneParams,
-    fidelity_disturbances,
     invariance_classes,
     joint_distribution,
     werner_noise_fraction,
@@ -30,7 +32,9 @@ from state_tools import (
     brute_force_gram,
     build_attack_state,
     einsum_joint_distribution,
+    fidelity_disturbances,
     max_entangled,
+    numpy_joint_distribution,
     overlap_sum_gram,
     params_to_matrix,
     phi_basis_matrix,
@@ -297,28 +301,66 @@ def test_invariance_classes_match_the_numpy_oracle(n):
         assert got == want, phis
 
 
+def shift_gain(n, j, r, m=math):
+    """g = |sin(pi j r/n)| / (n |sin(pi r/n)|), so that |S[j, r]| = g |2 sin(n dphi/2)|."""
+    return abs(m.sin(m.pi * j * r / n)) / (n * abs(m.sin(m.pi * r / n)))
+
+
 def modulus_law(n, dphi, j, r, m=math):
     """|S[j, r]| for r != 0 by the closed form, in the arithmetic of module m
     (``math``, or ``mpmath`` at its working precision)."""
-    beat = abs(2 * m.sin(n * dphi / 2))
-    return beat * abs(m.sin(m.pi * j * r / n)) / (n * abs(m.sin(m.pi * r / n)))
+    return abs(2 * m.sin(n * dphi / 2)) * shift_gain(n, j, r, m)
 
 
-def decided_gram(n, phi1, phi2):
-    """``brute_force_gram`` with each link that rounding could flip decided exactly.
+def rounding_band(n, dphi, j, r, modulus):
+    """Bound on how far the library's float |S[j, r]| lies from the exact ``modulus``.
 
-    An overlap whose modulus lies within 1e-12 of CLASS_TOL links its
-    cells only if the 40-digit modulus law exceeds CLASS_TOL; it is set
-    to 2 * CLASS_TOL if so and to 0 otherwise.
+    ``bell.overlap_matrix`` takes the beat from w = exp(1j * theta'), with
+    theta' = fl(n * fl(phi2 - phi1)).  A subtraction and a product
+    round there, so theta' is off from n * dphi by at most
+    dtheta = (n ulp(dphi) + ulp(n dphi)) / 2, and the beat, being
+    1-Lipschitz in theta, moves the modulus by at most g * dtheta
+    (g = ``shift_gain``).  Near n dphi = 2*pi*k that is many ulps of the
+    modulus.  Every other step rounds once (sines, cosines, quotient,
+    products, abs), a dozen times 2**-53 relative.  Rounding cos(theta')
+    next to 1 moves |w - 1| by at most 2**-109 / beat**2 relative, under
+    1.6e-15 wherever the modulus is near CLASS_TOL, since g < 1 puts the
+    beat above 1e-9 there.  2**-48 relative covers both.
     """
-    gram = brute_force_gram(n, phi1, phi2).copy()
+    dtheta = (n * math.ulp(dphi) + math.ulp(n * dphi)) / 2
+    return 2.0 ** -48 * modulus + shift_gain(n, j, r) * dtheta
+
+
+def decided_link(n, phi1, phi2, j, r):
+    """Whether S[j, r] links its cells: the 40-digit modulus law's verdict, or the
+    library's own float verdict where the law lies within ``rounding_band`` of
+    CLASS_TOL, which double precision cannot decide."""
+    with mpmath.workdps(40):
+        exact = modulus_law(n, mpmath.mpf(phi2) - mpmath.mpf(phi1), j, r, mpmath)
+        margin = float(abs(exact - CLASS_TOL))
+    if margin > rounding_band(n, phi2 - phi1, j, r, float(exact)):
+        return exact > CLASS_TOL
+    return abs(overlap_matrix(n, phi1, phi2)[j][r]) > CLASS_TOL
+
+
+def decided_gram(n, phi1, phi2, base=brute_force_gram):
+    """The Gram matrix ``base`` with each link that rounding could flip decided.
+
+    An overlap between cells (i, j) and (k, j), k != i, whose modulus in
+    ``base`` lies within 1e-12 of CLASS_TOL is set to 2 * CLASS_TOL if
+    ``decided_link`` links it and to 0 otherwise; one between different
+    phase indices, or of a cell with itself, is set to 0.
+    """
+    gram = base(n, phi1, phi2)
+    verdicts = {}  # (j, r) -> linked
     for row, col in np.argwhere(abs(np.abs(gram) - CLASS_TOL) < 1e-12).tolist():
         (i, j), (k, l) = divmod(row, n), divmod(col, n)
+        r = (k - i) % n
         linked = False
-        if j == l and i != k:
-            with mpmath.workdps(40):
-                dphi = mpmath.mpf(phi2) - mpmath.mpf(phi1)
-                linked = modulus_law(n, dphi, j, (k - i) % n, mpmath) > CLASS_TOL
+        if j == l and r:
+            if (j, r) not in verdicts:
+                verdicts[j, r] = decided_link(n, phi1, phi2, j, r)
+            linked = verdicts[j, r]
         gram[row, col] = 2 * CLASS_TOL if linked else 0.0
     return gram
 
@@ -359,12 +401,39 @@ def angle_lists(draw):
 @settings(max_examples=60, deadline=None)
 @given(angle_lists())
 @example(case=(2, [1e-9, 0.0]))
+@example(case=(3, [1e-9, 0.0]))
 def test_property_invariance_classes_match_union_find(case):
     # at (2, [1e-9, 0.0]), |S[1, 1]| = sin(1e-9) lies just below CLASS_TOL,
-    # and the brute-force overlap rounds it to just above
+    # and the brute-force overlap rounds it to just above; at (3, [1e-9, 0.0])
+    # the library's float modulus is 1.0000000000000003e-9 and the 40-digit
+    # one 4e-19 relative below CLASS_TOL, inside the rounding band
     n, phis = case
     got = invariance_classes(n, phis).sorted_classes()
     assert got == union_find_classes(n, phis, gram=decided_gram).sorted_classes()
+
+
+def near_tie_angles(n):
+    """Angles t at which the strongest link max |S[j, r]| of the pair [t, 0.0]
+    sits at CLASS_TOL, near dphi = 0 and either side of 2*pi/n, each moved by
+    0 and 1 ulp, and by 256 ulps (outside the rounding band), either way."""
+    with mpmath.workdps(40):
+        gain = max(shift_gain(n, j, r, mpmath) for j in range(1, n) for r in range(1, n))
+        t = 2 * mpmath.asin(CLASS_TOL / (2 * gain)) / n
+        ties = [float(t), float(2 * mpmath.pi / n - t), float(2 * mpmath.pi / n + t)]
+    return [tie + k * math.ulp(tie) for tie in ties for k in (-256, -1, 0, 1, 256)]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_invariance_classes_at_class_tol_ties_match_decided_oracle(n):
+    # both orders of each pair; outside the rounding band the 40-digit
+    # verdict decides, inside it the library's float verdict stands.  The
+    # defining-sum Gram matrix stands in for the brute-force one, whose
+    # Bell vectors would be rebuilt for each of the 30 angles.
+    gram = functools.partial(decided_gram, base=overlap_sum_gram)
+    for t in near_tie_angles(n):
+        for phis in ([t, 0.0], [0.0, t]):
+            got = invariance_classes(n, phis).sorted_classes()
+            assert got == union_find_classes(n, phis, gram=gram).sorted_classes(), phis
 
 
 def test_class_partition_rejects_overlap_and_gaps():
@@ -487,9 +556,30 @@ def test_joint_distribution_matches_einsum_oracle(n):
     # reduced state, clean and at the crossover attack
     record = crossover_fidelity(n)
     for p in (CloneParams.identity(n), CloneParams(n, record.v, record.x, record.y)):
-        got = joint_distribution(p)
+        got = np.asarray(joint_distribution(p))
         assert got.shape == (4, 4, n, n)
         assert np.max(np.abs(got - einsum_joint_distribution(p))) < 2e-15
+
+
+GOLDEN_ATTACKS = {
+    row["n"]: (row["v"], row["x"], row["y"])
+    for row in json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+                          .read_text())["rows"]
+}
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_joint_distribution_is_bit_identical_to_numpy_expression(n):
+    # the plain-Python tables against the numpy expression they replaced:
+    # clean, the golden crossover attack and seeded random attacks
+    rng = np.random.default_rng(7000 + n)
+    attacks = [(1.0, 0.0, 0.0), GOLDEN_ATTACKS[n]]
+    attacks += [born_oracle.random_clone_params(n, rng) for _ in range(3)]
+    for vxy in attacks:
+        p = CloneParams(n, *vxy)
+        got = joint_distribution(p)
+        assert isinstance(got, tuple)
+        assert np.array_equal(np.array(got), numpy_joint_distribution(p)), vxy
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,7 +595,7 @@ def test_property_joint_distribution_matches_einsum_oracle(data):
 def test_clean_tables_are_exact(n):
     # the identity attack: conjugate pairs are exactly I/N, and no cell of
     # any table is negative
-    tables = joint_distribution(CloneParams.identity(n))
+    tables = np.asarray(joint_distribution(CloneParams.identity(n)))
     assert tables.min() >= 0.0
     for pair in ((0, 0), (2, 2), (1, 3), (3, 1)):
         assert np.array_equal(tables[pair], np.eye(n) / n)
@@ -516,7 +606,7 @@ def test_joint_distribution_rows_sum_to_one(n):
     p = CloneParams(n, *born_oracle.random_clone_params(n, RNG))
     for a in range(4):
         for b in range(4):
-            table = joint_distribution(p)[a, b]
+            table = np.asarray(joint_distribution(p))[a, b]
             assert table.shape == (n, n)
             assert table.min() > -1e-12
             assert table.sum() == pytest.approx(1.0, abs=1e-10)
@@ -527,7 +617,7 @@ def test_joint_distribution_rows_sum_to_one(n):
 def test_conjugate_pair_tables_have_row_structure(n, pair):
     p = CloneParams(n, *born_oracle.random_clone_params(n, RNG))
     fid, dist = fidelity_disturbances(p)
-    table = joint_distribution(p)[pair]
+    table = np.asarray(joint_distribution(p))[pair]
     expected = np.empty((n, n))
     for k in range(n):
         for l in range(n):
@@ -540,7 +630,7 @@ def test_conjugate_pair_tables_have_row_structure(n, pair):
 def test_identity_attack_conjugate_pairs_are_perfectly_correlated(n):
     p = CloneParams.identity(n)
     for pair in ((0, 0), (2, 2), (1, 3), (3, 1)):
-        np.testing.assert_allclose(joint_distribution(p)[pair], np.eye(n) / n, atol=1e-12)
+        np.testing.assert_allclose(np.asarray(joint_distribution(p))[pair], np.eye(n) / n, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -552,7 +642,7 @@ def test_all_sixteen_tables_match_isotropic_noise(n):
     target = werner_state(n, werner_noise_fraction(p)).entries
     for a in range(4):
         for b in range(4):
-            table = joint_distribution(p)[a, b]
+            table = np.asarray(joint_distribution(p))[a, b]
             oracle = born_oracle.density_pair_distribution(
                 target,
                 alice_measurement_basis(n, a).u,
@@ -575,7 +665,7 @@ def test_joint_distribution_matches_four_way_born_oracle(n):
             ub = bob_measurement_basis(n, bi).u
             four = born_oracle.measurement_distribution(psi, [ua, ub, eye, eye])
             np.testing.assert_allclose(
-                joint_distribution(p)[ai, bi], four.sum(axis=(2, 3)), atol=1e-12
+                np.asarray(joint_distribution(p))[ai, bi], four.sum(axis=(2, 3)), atol=1e-12
             )
 
 

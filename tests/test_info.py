@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndeb.cloner import CloneParams, fidelity_disturbances
-from ndeb.info import entropy, i_ab, i_ae
+from ndeb.cloner import CloneParams
+from ndeb.info import i_ab, i_ae
 from ndeb.thresholds import clone_family_at_fidelity, crossover_fidelity
 
 import born_oracle
 from state_tools import (
     AmplitudeMatrix,
+    entropy,
     eve_conditional,
+    fidelity_disturbances,
     matrix_fidelity_disturbances,
     matrix_i_ab,
     matrix_i_ae,

@@ -30,7 +30,6 @@ from ndeb import (
     SimReport,
     bell_overlap,
     crossover_fidelity,
-    entropy,
     fidelity_threshold,
     invariance_classes,
     max_eve_info,
@@ -135,7 +134,6 @@ CASES = [
     ("bell_overlap", "phi1", REAL, lambda z: bell_overlap(3, z, 0.1, I01, I11), 0.0),
     ("bell_overlap", "phi2", REAL, lambda z: bell_overlap(3, 0.0, z, I01, I11), 0.1),
     ("crossover_fidelity", "n", INT, crossover_fidelity, 2),
-    ("entropy", "dist[0]", REAL, lambda z: entropy([z, 0.0]), 1.0),
     ("fidelity_threshold", "n", INT, fidelity_threshold, 2),
     ("invariance_classes", "n", INT, lambda z: invariance_classes(z, [0.0, 0.3]), 3),
     ("invariance_classes", "phis[1]", REAL, lambda z: invariance_classes(3, [0.0, z]), 0.3),
@@ -147,7 +145,6 @@ CASES = [
     ("overlap_matrix", "phi2", REAL, lambda z: overlap_matrix(3, 0.0, z), 0.1),
     ("phi_basis", "n", INT, lambda z: phi_basis(z, 0.1), 3),
     ("phi_basis", "phase", REAL, lambda z: phi_basis(3, z), 0.1),
-    ("run_simulation", "shards", INT, lambda z: run_simulation(small_config(), shards=z), 1),
     ("security_report", "n_min", INT, lambda z: security_report(z, 3), 2),
     ("security_report", "n_max", INT, lambda z: security_report(2, z), 3),
     ("visibility_threshold", "n", INT, visibility_threshold, 2),
@@ -159,10 +156,10 @@ NO_SCALAR_ARGUMENTS = {
     "ThresholdRecord",
     "conjugate_pairs",
     "empirical_info",
-    "fidelity_disturbances",
     "i_ab",
     "i_ae",
     "joint_distribution",
+    "run_simulation",
     "werner_noise_fraction",
 }
 

@@ -76,7 +76,7 @@ def test_pairing_rederivation_passes(n):
     for i in range(4):
         conj_i = conjugate_basis(phi_basis_matrix(n, angles[i]))
         assert basis_relabeling(conj_i, phi_basis_matrix(n, angles[PARTNER[i]])) is not None, i
-    tables = joint_distribution(CloneParams.identity(n))
+    tables = np.asarray(joint_distribution(CloneParams.identity(n)))
     derived = {
         (a, b) for a in range(4) for b in range(4)
         if np.allclose(tables[a, b], np.eye(n) / n, atol=1e-10)
@@ -370,7 +370,7 @@ def test_attacked_tables_pass_chi_square(n):
     for a in range(4):
         for b in range(4):
             assert_counts_match_table(
-                report.per_pair_tables[a, b], joint_distribution(attack)[a, b]
+                report.per_pair_tables[a, b], np.asarray(joint_distribution(attack))[a, b]
             )
 
 
@@ -382,7 +382,7 @@ def test_clean_tables_pass_chi_square(n):
     for a in range(4):
         for b in range(4):
             assert_counts_match_table(
-                report.per_pair_tables[a, b], joint_distribution(identity)[a, b]
+                report.per_pair_tables[a, b], np.asarray(joint_distribution(identity))[a, b]
             )
 
 
@@ -394,31 +394,24 @@ def test_same_seed_reproduces_report():
     assert report_digest(run_simulation(cfg)) == report_digest(run_simulation(cfg))
 
 
-def test_shard_count_does_not_change_report():
-    cfg = make_config(attack=CROSSOVER3, rounds=10001)
-    digests = {report_digest(run_simulation(cfg, shards=s)) for s in (1, 2, 3, 8)}
-    assert len(digests) == 1
-
-
 # sha256 of the sorted-key report JSON; a change to the random stream or
-# to the report encoding shows up here and is never silent.
+# to the report encoding shows up here and is never silent.  The ids match
+# test_cli's report-file digests, which run these configs through the CLI.
 GOLDEN_DIGESTS = [
-    (dict(attack=CROSSOVER3, rounds=10001), 1,
+    (dict(attack=CROSSOVER3, rounds=10001),
      "e569896d48fe87fed167173b21bbaca08b8efab1935e307df811662d20c60925"),
-    (dict(attack=CROSSOVER3, rounds=10001), 3,
-     "e569896d48fe87fed167173b21bbaca08b8efab1935e307df811662d20c60925"),
-    (dict(n=16, rounds=2000, basis_weights=(0.7, 0.1, 0.1, 0.1)), 1,
+    (dict(n=16, rounds=2000, basis_weights=(0.7, 0.1, 0.1, 0.1)),
      "be78da7111a22b34482670e71deed4690f9ac12d78d0846d15062d09bfb2cf56"),
-    (dict(n=2, rounds=1), 1,
+    (dict(n=2, rounds=1),
      "41b38fe2110d10960685132b452a8c4c75aeb32a4ad568ba918258de6cbda87d"),
-    (dict(n=2, rounds=1, attack=CloneParams(2, 0.7, math.sqrt(0.19), 0.4), seed=1), 1,
+    (dict(n=2, rounds=1, attack=CloneParams(2, 0.7, math.sqrt(0.19), 0.4), seed=1),
      "151e30d1395feb9dfa4a821e7829bfd9f5f173a47e4df5a0b02b307ee5211095"),
-    (dict(basis_weights=(0.0, 1.0, 0.0, 0.0), rounds=500), 1,
+    (dict(basis_weights=(0.0, 1.0, 0.0, 0.0), rounds=500),
      "7a0b9db6c1462524270284e1ec3116b5409400baea64bd53ad5f7c7b205e6734"),
     # 2**18 + 12345 rounds span five blocks of sim.BLOCK_ROUNDS = 2**16;
     # pinned from the one-pass-per-pair sampler, reference_sample_block,
     # which drew every variate before sampling.
-    (dict(attack=CROSSOVER3, rounds=2 ** 18 + 12345), 1,
+    (dict(attack=CROSSOVER3, rounds=2 ** 18 + 12345),
      "22ba467ac1f321c297dfcbd2bfcfe107ca8eae18a6975612d8bcbb4a1a8f5108"),
 ]
 
@@ -428,13 +421,13 @@ def sha256_digest(report):
 
 
 @pytest.mark.parametrize(
-    "overrides, shards, digest",
+    "overrides, digest",
     GOLDEN_DIGESTS,
-    ids=["n3-attacked-s1", "n3-attacked-s3", "n16-clean", "n2-one-round",
+    ids=["n3-attacked-s1", "n16-clean", "n2-one-round",
          "n2-one-round-attacked", "never-sifting", "n3-attacked-five-blocks"],
 )
-def test_report_golden_digest(overrides, shards, digest):
-    report = run_simulation(make_config(**overrides), shards=shards)
+def test_report_golden_digest(overrides, digest):
+    report = run_simulation(make_config(**overrides))
     assert sha256_digest(report) == digest
 
 
@@ -442,17 +435,6 @@ def test_different_seed_changes_report():
     a = run_simulation(make_config(seed=1))
     b = run_simulation(make_config(seed=2))
     assert report_digest(a) != report_digest(b)
-
-
-def test_shards_must_be_positive():
-    with pytest.raises(ValueError):
-        run_simulation(make_config(), shards=0)
-
-
-@pytest.mark.parametrize("bad", [True, 2.5, 2.0, "2"])
-def test_shards_must_be_an_int(bad):
-    with pytest.raises(ValueError, match="shards must be an int"):
-        run_simulation(make_config(rounds=10), shards=bad)
 
 
 def test_huge_shard_count_runs_fixed_size_blocks(monkeypatch):
@@ -464,16 +446,8 @@ def test_huge_shard_count_runs_fixed_size_blocks(monkeypatch):
         return sample_block(cdfs, pair, u_out)
 
     monkeypatch.setattr(sim, "_sample_block", counted)
-    cfg = make_config(rounds=sim.BLOCK_ROUNDS + 1, attack=CROSSOVER3)
-    one = sha256_digest(run_simulation(cfg, shards=1))
+    run_simulation(make_config(rounds=sim.BLOCK_ROUNDS + 1, attack=CROSSOVER3))
     assert blocks == [sim.BLOCK_ROUNDS, 1]
-    blocks.clear()
-    assert sha256_digest(run_simulation(cfg, shards=2 ** 40)) == one
-    assert blocks == [sim.BLOCK_ROUNDS, 1]
-    small = make_config(rounds=10, attack=CROSSOVER3)
-    assert sha256_digest(run_simulation(small, shards=np.int64(10))) == sha256_digest(
-        run_simulation(small)
-    )
 
 
 # ---------------------------------------------------------------- reports
@@ -662,17 +636,9 @@ def test_never_sifting_weights_give_empty_key():
 
 
 @settings(max_examples=50, deadline=None)
-@given(cfg=protocol_configs(), shards=st.integers(1, 9))
-def test_property_shard_count_does_not_change_report(cfg, shards):
-    assert sha256_digest(run_simulation(cfg, shards=shards)) == sha256_digest(
-        run_simulation(cfg)
-    )
-
-
-@settings(max_examples=50, deadline=None)
 @given(data=st.data(), n=st.integers(2, 6))
 def test_property_joint_tables_are_normalized(data, n):
-    tables = joint_distribution(data.draw(clone_params(n)))
+    tables = np.asarray(joint_distribution(data.draw(clone_params(n))))
     assert tables.shape == (4, 4, n, n)
     assert tables.min() >= -1e-12
     np.testing.assert_allclose(tables.sum(axis=(2, 3)), 1.0, rtol=0, atol=1e-10)

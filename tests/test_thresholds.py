@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from ndeb import thresholds
-from ndeb.cloner import CloneParams, fidelity_disturbances
+from ndeb.cloner import CloneParams
 from ndeb.info import i_ab, i_ae
 from ndeb.thresholds import (
     ROOT_RTOL,
@@ -21,7 +21,7 @@ from ndeb.thresholds import (
     y_max,
 )
 
-from state_tools import eve_branches
+from state_tools import eve_branches, fidelity_disturbances
 
 # The crossover fidelity decreases with N; in the large-N limit it
 # approaches 1/2 while the error-rate threshold approaches 50%, as
