@@ -25,13 +25,11 @@ _SOURCES = {
     "i_ae": "info",
     "ThresholdRecord": "thresholds",
     "crossover_fidelity": "thresholds",
-    "fidelity_threshold": "thresholds",
     "max_eve_info": "thresholds",
     "security_report": "thresholds",
     "visibility_threshold": "thresholds",
     "ProtocolConfig": "sim",
     "SimReport": "sim",
-    "conjugate_pairs": "sim",
     "empirical_info": "sim",
     "run_simulation": "sim",
 }

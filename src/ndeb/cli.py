@@ -115,21 +115,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_n(n: int) -> None:
+    if not 2 <= n <= N_CAP:
+        raise CliError(f"--n must satisfy 2 <= n <= {N_CAP}, got {n}")
+
+
+def _angle_at(n: int, index: int, flag: str) -> float:
+    """The protocol angle at ``index``, which the option ``flag`` gave."""
+    if index not in (0, 1, 2, 3):
+        raise CliError(f"{flag} must be in 0..3, got {index}")
+    return optimal_angles(n)[index]
+
+
 def _collect_angles(n: int, phis: Sequence[float], indices: Sequence[int]) -> list[float]:
-    angles = [float(p) for p in phis]
-    table = optimal_angles(n)
-    for i in indices:
-        if i not in (0, 1, 2, 3):
-            raise CliError(f"--phi-index must be in 0..3, got {i}")
-        angles.append(table[i])
-    return angles
+    return [float(p) for p in phis] + [_angle_at(n, i, "--phi-index") for i in indices]
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
     from .cloner import invariance_classes
 
-    if not 2 <= args.n <= N_CAP:
-        raise CliError(f"--n must satisfy 2 <= n <= {N_CAP}, got {args.n}")
+    _check_n(args.n)
     angles = _collect_angles(args.n, args.phi or [], args.phi_index or [])
     if len(angles) < 2:
         raise CliError("need at least two angles (--phi / --phi-index)")
@@ -168,16 +173,13 @@ def _pick_angle(n: int, value: float | None, index: int | None, flag: str) -> fl
         raise CliError(f"give exactly one of {flag} or {flag}-index")
     if value is not None:
         return float(value)
-    if index not in (0, 1, 2, 3):
-        raise CliError(f"{flag}-index must be in 0..3, got {index}")
-    return optimal_angles(n)[index]
+    return _angle_at(n, index, f"{flag}-index")
 
 
 def cmd_overlap(args: argparse.Namespace) -> int:
     from .bell import BellIndex, bell_overlap
 
-    if not 2 <= args.n <= N_CAP:
-        raise CliError(f"--n must satisfy 2 <= n <= {N_CAP}, got {args.n}")
+    _check_n(args.n)
     phi1 = _pick_angle(args.n, args.phi1, args.phi1_index, "--phi1")
     phi2 = _pick_angle(args.n, args.phi2, args.phi2_index, "--phi2")
     i, j, k, l = _parse_indices(args.idx)
@@ -245,15 +247,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not os.path.exists(args.config):
         raise CliError(f"config file not found: {args.config}")
     with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, parse_constant=_reject_constant)
-    env_seed = os.environ.get("NDEB_SEED")
-    # A config that is not an object is left for from_dict to reject.
-    if env_seed is not None and isinstance(raw, dict):
-        try:
-            raw["seed"] = int(env_seed)
-        except ValueError:
-            raise CliError(f"NDEB_SEED must be an int, got {env_seed!r}") from None
-    cfg = ProtocolConfig.from_dict(raw)
+        cfg = ProtocolConfig.from_dict(json.load(fh, parse_constant=_reject_constant))
     report = run_simulation(cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_report(fh, report)

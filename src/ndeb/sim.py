@@ -8,14 +8,15 @@ joint table of that basis pair.  Tables come straight from
 attack, whose tables are those of the clean entangled pair.
 
 Randomness: numpy's Philox counter-based generator keyed by the 64-bit
-config seed.  The stream is read in a fixed order - Alice's basis
-variates for every round, then Bob's, then the outcome variates - so
-the report is a pure function of (config, seed).  Each of the three
-passes runs in blocks of ``BLOCK_ROUNDS`` rounds, which bounds the
-temporaries; only the basis pair of each round (one byte) and the
-sifted key, as flat outcomes alice*n + bob (one byte each for n <= 16),
-are held for the whole run.  The QBER and the plug-in information are
-read from the count tables.
+config seed.  Of the R = ``rounds`` variates of each kind, pass k reads
+words k*R .. (k+1)*R - 1 of the stream: Alice's basis variates (k = 0),
+Bob's (k = 1), then the outcome variates (k = 2), one word each.  Philox
+can start at any word, so each block of ``BLOCK_ROUNDS`` rounds draws
+its three slices, picks its basis pairs and samples its outcomes in one
+pass, and the report is a pure function of the config.  Only the sifted
+key, as flat outcomes alice*n + bob (one byte each for n <= 16), is held
+for the whole run.  The QBER and the plug-in information are read from
+the count tables.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .cloner import CloneParams, joint_distribution
+from .cloner import PARTNER, CloneParams, joint_distribution
 from .qudit import check_dim, finite_real, strict_int
 
 WEIGHT_ATOL = 1e-9
@@ -33,21 +34,9 @@ WEIGHT_ATOL = 1e-9
 # 2**16 ran fastest and held the least memory at N = 3 and N = 16.
 BLOCK_ROUNDS = 1 << 16
 
-_PAIRS = frozenset({(0, 0), (2, 2), (1, 3), (3, 1)})
-# _SIFTED[4*a + b] is True when the basis pair (a, b) is kept at sifting.
-_SIFTED = np.array([(p // 4, p % 4) in _PAIRS for p in range(16)])
-
-
-def conjugate_pairs() -> frozenset[tuple[int, int]]:
-    """Basis-index pairs kept at sifting: {(0,0), (2,2), (1,3), (3,1)}.
-
-    Under the convention that Alice's index i denotes the conjugate of
-    the partner basis ``cloner.PARTNER[i]`` (see ``joint_distribution``),
-    these are exactly the pairs whose outcomes match symbol-for-symbol on
-    the clean entangled pair: indices 0 and 2 are self-conjugate, 1 and
-    3 are conjugates of each other.
-    """
-    return _PAIRS
+# _SIFTED[4*a + b] is True when the basis pair (a, b) is kept at sifting:
+# Alice's index a reads the conjugate of the partner basis PARTNER[a].
+_SIFTED = np.array([p % 4 == PARTNER[p // 4] for p in range(16)])
 
 
 def _require_keys(kind: str, d: Any, keys) -> None:
@@ -76,8 +65,8 @@ def sifted_table(tables: np.ndarray) -> np.ndarray:
 class ProtocolConfig:
     """One simulation run: dimension, round count, weights, attack, seed.
 
-    Memory grows with ``rounds`` (a basis pair per round and a flat
-    outcome per sifted round are held), so it is capped at ``MAX_ROUNDS``.
+    Memory grows with ``rounds`` (a flat outcome per sifted round is
+    held), so it is capped at ``MAX_ROUNDS``.
     """
 
     MAX_ROUNDS = 10 ** 7
@@ -278,29 +267,29 @@ def _sample_block(
     return counts.ravel(), flat[_SIFTED[pair]]
 
 
+def _stream(seed: int, start: int) -> np.random.Generator:
+    """Generator whose variates start at word ``start`` of the seed's Philox
+    stream: one counter step yields four words, each variate reads one."""
+    bits = np.random.Philox(seed)
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+    return np.random.Generator(bits)
+
+
 def run_simulation(cfg: ProtocolConfig) -> SimReport:
     """Run ``cfg.rounds`` protocol rounds, sampled in blocks of
     ``BLOCK_ROUNDS``, and aggregate them into a report."""
     n, rounds = cfg.n, cfg.rounds
     cdfs = _outcome_cdfs(cfg)
-
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
     weight_cdf = np.cumsum(cfg.basis_weights)
-    starts = range(0, rounds, BLOCK_ROUNDS)
-    # Draw order is fixed: Alice's basis variates for every round, Bob's,
-    # then the outcome variates.  Drawing each in blocks reads the same
-    # stream as one draw of ``rounds`` variates.
-    pair = np.zeros(rounds, dtype=np.uint8)
-    for weight in (4, 1):
-        for lo in starts:
-            block = pair[lo:lo + BLOCK_ROUNDS]
-            block += weight * _basis_index(weight_cdf, rng.random(block.size))
-
+    alice, bob, outcome = (_stream(cfg.seed, k * rounds) for k in range(3))
     counts = np.zeros(16 * n * n, dtype=np.int64)
     sifted = []
-    for lo in starts:
-        block = pair[lo:lo + BLOCK_ROUNDS]
-        block_counts, block_sifted = _sample_block(cdfs, block, rng.random(block.size))
+    for lo in range(0, rounds, BLOCK_ROUNDS):
+        size = min(BLOCK_ROUNDS, rounds - lo)
+        pair = 4 * _basis_index(weight_cdf, alice.random(size))
+        pair += _basis_index(weight_cdf, bob.random(size))
+        block_counts, block_sifted = _sample_block(cdfs, pair, outcome.random(size))
         counts += block_counts
         sifted.append(block_sifted)
     tables = counts.reshape(4, 4, n, n)

@@ -152,17 +152,6 @@ def visibility_threshold(n: int) -> float:
     return n * n / total
 
 
-def fidelity_threshold(n: int) -> float:
-    """Fidelity of the isotropic mixture at the local-realism visibility."""
-    n = check_dim(n)
-    return _isotropic_fidelity(n, visibility_threshold(n))
-
-
-def _isotropic_fidelity(n: int, visibility: float) -> float:
-    """F = (N-1)/N * V + 1/N of the isotropic mixture at visibility V."""
-    return (n - 1) / n * visibility + 1.0 / n
-
-
 @dataclass(frozen=True)
 class ThresholdRecord:
     """Security summary for one dimension."""
@@ -199,7 +188,7 @@ def crossover_fidelity(n: int) -> ThresholdRecord:
     f_a = _brent(g, 1.0 / n + BRACKET_PAD, 1.0 - BRACKET_PAD)
     params, gap = seen[f_a]
     v_thr = visibility_threshold(n)
-    f_thr = _isotropic_fidelity(n, v_thr)
+    f_thr = (n - 1) / n * v_thr + 1.0 / n  # the isotropic mixture's fidelity
     return ThresholdRecord(
         n=n,
         f_a=f_a,

@@ -30,7 +30,6 @@ from ndeb import (
     SimReport,
     bell_overlap,
     crossover_fidelity,
-    fidelity_threshold,
     invariance_classes,
     max_eve_info,
     optimal_angles,
@@ -134,7 +133,6 @@ CASES = [
     ("bell_overlap", "phi1", REAL, lambda z: bell_overlap(3, z, 0.1, I01, I11), 0.0),
     ("bell_overlap", "phi2", REAL, lambda z: bell_overlap(3, 0.0, z, I01, I11), 0.1),
     ("crossover_fidelity", "n", INT, crossover_fidelity, 2),
-    ("fidelity_threshold", "n", INT, fidelity_threshold, 2),
     ("invariance_classes", "n", INT, lambda z: invariance_classes(z, [0.0, 0.3]), 3),
     ("invariance_classes", "phis[1]", REAL, lambda z: invariance_classes(3, [0.0, z]), 0.3),
     ("max_eve_info", "n", INT, lambda z: max_eve_info(z, 0.9), 2),
@@ -154,7 +152,6 @@ CASE_IDS = [f"{name}.{arg}" for name, arg, *_ in CASES]
 # Public names whose arguments are all library objects (attacks, reports) or absent.
 NO_SCALAR_ARGUMENTS = {
     "ThresholdRecord",
-    "conjugate_pairs",
     "empirical_info",
     "i_ab",
     "i_ae",
@@ -238,12 +235,9 @@ def test_simulate_rejects_bad_config_scalars(workdir, path, strategy, data):
     assert simulate_status(workdir, replaced(CONFIG, path, bad)) == (2, False)
 
 
-@pytest.mark.parametrize("seed", [None, "5"], ids=["config-seed", "NDEB_SEED"])
+# A run takes its seed from the config file alone.
+@pytest.mark.parametrize("seed", [None], ids=["config-seed"])
 @pytest.mark.parametrize("doc", [5, None, [1, 2]], ids=repr)
-def test_simulate_rejects_a_config_that_is_not_an_object(workdir, monkeypatch, capsys, doc, seed):
-    if seed is None:
-        monkeypatch.delenv("NDEB_SEED", raising=False)
-    else:
-        monkeypatch.setenv("NDEB_SEED", seed)
+def test_simulate_rejects_a_config_that_is_not_an_object(workdir, capsys, doc, seed):
     assert simulate_status(workdir, doc) == (2, False)
     assert "config must be a JSON object" in capsys.readouterr().err

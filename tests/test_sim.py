@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,15 +15,17 @@ from ndeb.qudit import optimal_angles
 from ndeb.sim import (
     ProtocolConfig,
     SimReport,
-    conjugate_pairs,
     empirical_info,
     run_simulation,
 )
 from ndeb.thresholds import crossover_fidelity
 
+from philox_oracle import philox_words, to_double
 from state_tools import basis_relabeling, conjugate_basis, phi_basis_matrix
 from strategies import clone_params, protocol_configs
 
+# Basis pairs (a, b) kept at sifting, written out independently of the library.
+SIFT_PAIRS = {(0, 0), (2, 2), (1, 3), (3, 1)}
 CROSSOVER3 = CloneParams(
     3, 0.8319757906688726, 0.17108599520763154, 0.2038281335784852
 )
@@ -65,7 +68,7 @@ def assert_counts_match_table(counts, probs):
 
 
 def test_conjugate_pairs_value():
-    assert conjugate_pairs() == {(0, 0), (2, 2), (1, 3), (3, 1)}
+    assert {divmod(int(p), 4) for p in np.flatnonzero(sim._SIFTED)} == SIFT_PAIRS
 
 
 @pytest.mark.parametrize("n", [*range(2, 17), 17, 32])
@@ -81,7 +84,7 @@ def test_pairing_rederivation_passes(n):
         (a, b) for a in range(4) for b in range(4)
         if np.allclose(tables[a, b], np.eye(n) / n, atol=1e-10)
     }
-    assert derived == conjugate_pairs()
+    assert derived == SIFT_PAIRS
 
 
 # ---------------------------------------------------------------- config
@@ -231,7 +234,7 @@ def reference_sample_block(cdfs, pair, u_out):
         flat[sel] = np.searchsorted(cdfs[p], u_out[sel], side="right")
     np.minimum(flat, size - 1, out=flat)
     counts = np.bincount(pair * size + flat, minlength=16 * size)
-    sifted = np.isin(pair, [4 * a + b for a, b in conjugate_pairs()])
+    sifted = np.isin(pair, [4 * a + b for a, b in SIFT_PAIRS])
     return counts, flat[sifted]
 
 
@@ -293,7 +296,7 @@ def test_no_attack_run_has_zero_qber(n):
     report = run_simulation(make_config(n=n))
     assert report.qber == 0.0
     assert report.qber_stderr == 0.0
-    for a, b in conjugate_pairs():
+    for a, b in SIFT_PAIRS:
         table = report.per_pair_tables[a, b]
         assert table.sum() == np.trace(table)
     assert not report.attacked
@@ -333,7 +336,7 @@ def test_zero_weight_bases_never_fire():
     counts = report.per_pair_tables
     assert counts[2:].sum() == 0
     assert counts[:, 2:].sum() == 0
-    sifted = sum(counts[a, b].sum() for a, b in conjugate_pairs())
+    sifted = sum(counts[a, b].sum() for a, b in SIFT_PAIRS)
     assert sifted == counts[0, 0].sum()
 
 
@@ -437,7 +440,7 @@ def test_different_seed_changes_report():
     assert report_digest(a) != report_digest(b)
 
 
-def test_huge_shard_count_runs_fixed_size_blocks(monkeypatch):
+def test_rounds_run_in_fixed_size_blocks(monkeypatch):
     blocks = []
     sample_block = sim._sample_block
 
@@ -448,6 +451,64 @@ def test_huge_shard_count_runs_fixed_size_blocks(monkeypatch):
     monkeypatch.setattr(sim, "_sample_block", counted)
     run_simulation(make_config(rounds=sim.BLOCK_ROUNDS + 1, attack=CROSSOVER3))
     assert blocks == [sim.BLOCK_ROUNDS, 1]
+
+
+def test_unsifted_rounds_hold_no_memory():
+    # With weights (0, 1, 0, 0) no round sifts, so a run holds nothing per round.
+    def peak(blocks):
+        cfg = make_config(n=2, rounds=blocks * sim.BLOCK_ROUNDS,
+                          basis_weights=(0.0, 1.0, 0.0, 0.0))
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # one-time allocations land outside the compared runs
+    assert peak(16) - peak(2) < 64 * 1024
+
+
+# ---------------------------------------------------------------- stream addressing
+
+
+def philox_key(seed):
+    return tuple(int(k) for k in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240811, 2 ** 64 - 1])
+def test_philox_oracle_matches_numpy_words(seed):
+    key = philox_key(seed)
+    assert philox_words(key, 0, 11) == np.random.Philox(seed).random_raw(11).tolist()
+    bits = np.random.Philox(seed)
+    bits.advance(1000)
+    assert philox_words(key, 4000, 9) == bits.random_raw(9).tolist()
+
+
+def test_generator_random_is_the_top_53_bits_of_a_word():
+    want = [to_double(w) for w in philox_words(philox_key(3), 0, 64)]
+    assert np.random.Generator(np.random.Philox(3)).random(64).tolist() == want
+
+
+ODD_ROUNDS = 1001
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 5, ODD_ROUNDS, 2 * ODD_ROUNDS])
+def test_stream_starts_at_the_given_word(start):
+    want = [to_double(w) for w in philox_words(philox_key(20240811), start, 9)]
+    assert sim._stream(20240811, start).random(9).tolist() == want
+
+
+def test_pass_k_reads_words_k_rounds_on():
+    cfg = make_config(rounds=ODD_ROUNDS, attack=CROSSOVER3)
+    u = np.array([to_double(w) for w in philox_words(philox_key(cfg.seed), 0, 3 * cfg.rounds)])
+    alice, bob, u_out = u.reshape(3, cfg.rounds)
+    weight_cdf = np.cumsum(cfg.basis_weights)
+    pair = 4 * reference_basis_index(weight_cdf, alice) + reference_basis_index(weight_cdf, bob)
+    counts, key = reference_sample_block(sim._outcome_cdfs(cfg), pair, u_out)
+    report = run_simulation(cfg)
+    np.testing.assert_array_equal(report.per_pair_tables.ravel(), counts)
+    np.testing.assert_array_equal(report.key_symbols, key)
 
 
 # ---------------------------------------------------------------- reports

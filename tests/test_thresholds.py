@@ -14,7 +14,6 @@ from ndeb.thresholds import (
     _eve_slope,
     clone_family_at_fidelity,
     crossover_fidelity,
-    fidelity_threshold,
     max_eve_info,
     security_report,
     visibility_threshold,
@@ -386,11 +385,12 @@ def test_qubit_visibility_threshold_is_inverse_sqrt2():
 
 
 def test_qubit_fidelity_threshold_closed_form():
+    f_thr = crossover_fidelity(2).f_thr
     expected = 0.5 * (1 / math.sqrt(2)) + 0.5
-    assert fidelity_threshold(2) == pytest.approx(expected, abs=1e-12)
+    assert f_thr == pytest.approx(expected, abs=1e-12)
     # for two levels the local-realism border and the attack crossover
     # are the same number
-    assert fidelity_threshold(2) == pytest.approx(0.5 + 1 / math.sqrt(8), abs=1e-12)
+    assert f_thr == pytest.approx(0.5 + 1 / math.sqrt(8), abs=1e-12)
 
 
 def test_visibility_threshold_regression_values():
