@@ -418,16 +418,23 @@ def test_report_writer_slices_match_json_encoder(monkeypatch, rows_per_write):
     assert_same_text(buf.getvalue(), reference_report_text(report))
 
 
-def test_simulate_report_depends_on_the_config_alone(tmp_path, capsys, monkeypatch):
+def assert_env_seed_is_ignored(tmp_path, capsys, monkeypatch, value):
     cfg = write_config(tmp_path)
     base = tmp_path / "base.json"
     run_cli(capsys, "simulate", str(cfg), str(base))
-    for value in ("12345", "not-a-seed"):
-        monkeypatch.setenv("NDEB_SEED", value)
-        again = tmp_path / "again.json"
-        rc, _, _ = run_cli(capsys, "simulate", str(cfg), str(again))
-        assert rc == 0
-        assert again.read_bytes() == base.read_bytes()
+    monkeypatch.setenv("NDEB_SEED", value)
+    again = tmp_path / "again.json"
+    rc, _, _ = run_cli(capsys, "simulate", str(cfg), str(again))
+    assert rc == 0
+    assert again.read_bytes() == base.read_bytes()
+
+
+def test_simulate_ignores_env_seed(tmp_path, capsys, monkeypatch):
+    assert_env_seed_is_ignored(tmp_path, capsys, monkeypatch, "12345")
+
+
+def test_simulate_ignores_bad_env_seed(tmp_path, capsys, monkeypatch):
+    assert_env_seed_is_ignored(tmp_path, capsys, monkeypatch, "not-a-seed")
 
 
 def test_simulate_missing_config(tmp_path, capsys):
